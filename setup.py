@@ -10,11 +10,28 @@ runtime, so an installed wheel must ship them -- not only a
 ``PYTHONPATH=src`` checkout.
 """
 
+import re
+from pathlib import Path
+
 from setuptools import find_packages, setup
+
+
+def read_version() -> str:
+    """The package version, single-sourced from ``repro.__version__``.
+
+    Parsed from the source text rather than imported, so building never
+    executes the package.
+    """
+    text = (Path(__file__).parent / "src" / "repro" / "__init__.py").read_text(encoding="utf-8")
+    match = re.search(r'^__version__ = "([^"]+)"$', text, re.MULTILINE)
+    if match is None:
+        raise RuntimeError("src/repro/__init__.py defines no __version__")
+    return match.group(1)
+
 
 setup(
     name="repro-multisite",
-    version="1.7.0",
+    version=read_version(),
     description=(
         "Reproduction of Goel & Marinissen (DATE 2005): on-chip test "
         "infrastructure design for optimal multi-site testing of system chips"

@@ -8,10 +8,12 @@ such as a module with thousands of functional terminals and no scan, or a
 pattern count of one.
 
 The result of validation is a list of :class:`ValidationIssue` objects, each
-carrying a severity, the offending module (if any) and a message.  The
-experiments call :func:`validate_soc` on every benchmark before running, so
-a corrupted benchmark file fails loudly instead of silently producing odd
-numbers.
+carrying a severity, the offending module (if any) and a message.
+Validation is opt-in: no library code path (catalog loading, the
+experiments, the solvers) calls :func:`validate_soc` on its own.  Call it
+on a description you do not trust -- a hand-written or converted ``.soc``
+file, say -- before optimising it, so a corrupted description fails loudly
+instead of silently producing odd numbers.
 """
 
 from __future__ import annotations

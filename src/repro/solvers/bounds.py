@@ -19,12 +19,17 @@ derived from two classic relaxations of the channel-group model:
 For every admissible combination of site count ``n`` and per-site channel
 count ``k = 2 * W`` the certificate evaluates the objective at the relaxed
 test time ``T_min(W) = max(time bound, capacity bound)`` and keeps the best
-(sense-signed) value.  Because every built-in objective satisfies the
-monotonicity contract *"for a fixed site count, channel count and yields,
-the objective never improves as the manufacturing test time grows"*, the
-result certifies the optimum: no feasible design -- under any solver -- can
-achieve a signed score above the certificate's.  Custom objectives must
-honour the same contract for their certificates to be sound.
+(sense-signed) value.  The scan collects every admissible ``(n, W)`` pair
+first and evaluates them all in one call to the evaluation kernel's batch
+helper (:func:`~repro.solvers.evaluate.objective_values`), which routes
+through the objective's numpy array backend when one is available and is
+bit-identical to per-pair scalar evaluation.  Because every built-in
+objective satisfies the monotonicity contract *"for a fixed site count,
+channel count and yields, the objective never improves as the
+manufacturing test time grows"*, the result certifies the optimum: no
+feasible design -- under any solver -- can achieve a signed score above the
+certificate's.  Custom objectives must honour the same contract for their
+certificates to be sound.
 
 The raw ``value`` keeps the objective's natural orientation: for a
 minimised objective (test time, cost per good die) it is a literal lower
@@ -36,6 +41,7 @@ layer report the relative optimality gap via :func:`relative_gap`.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -43,12 +49,11 @@ from typing import TYPE_CHECKING
 from repro.ate.probe_station import ProbeStation
 from repro.ate.spec import AteSpec
 from repro.core.exceptions import ConfigurationError
-from repro.multisite.cost_model import TestTiming
-from repro.multisite.throughput import MultiSiteScenario
 from repro.objectives.registry import get_objective
 from repro.optimize.channels import max_channels_per_site
 from repro.optimize.config import OptimizationConfig
 from repro.soc.soc import Soc
+from repro.solvers.evaluate import objective_values
 from repro.wrapper.pareto import pareto_points
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -56,7 +61,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.solvers.problem import TestInfraProblem
 
 #: Number of distinct ``(soc, ate, probe, config, objective)`` certificates
-#: kept; one per scenario family, so this covers every sweep in the repo.
+#: kept.  The key holds the whole ATE (channels and depth), so every point
+#: of a channel/depth sweep is its own entry: the cache only pays off when
+#: the same operating point is certified again (analysis re-scans, solver
+#: gap reports after a sweep), not across the points of one sweep.
 CERTIFICATE_CACHE_SIZE = 4096
 
 
@@ -171,8 +179,10 @@ def _certificate(
         return None
     narrowest = feasible_widths[0]
 
-    best: BoundCertificate | None = None
-    best_signed = -math.inf
+    # Collect every admissible (sites, width) pair, sites-major and
+    # width-minor, then evaluate them all in one batch.
+    pair_sites: list[int] = []
+    pair_widths: list[int] = []
     sites = max(1, config.min_sites)
     while config.max_sites is None or sites <= config.max_sites:
         # The per-site budget shrinks as sites grow; once even the
@@ -180,35 +190,43 @@ def _certificate(
         site_cap = min(max_channels_per_site(ate.channels, sites, config.broadcast) // 2, width_cap)
         if site_cap < narrowest:
             break
-        for width in range(narrowest, site_cap + 1):
-            cycles = times[width]
-            if cycles is None:
-                continue
-            scenario = MultiSiteScenario(
-                sites=sites,
-                timing=TestTiming(
-                    index_time_s=probe_station.index_time_s,
-                    contact_test_time_s=probe_station.contact_test_time_s,
-                    manufacturing_test_time_s=ate.cycles_to_seconds(cycles),
-                ),
-                channels_per_site=2 * width,
-                contact_yield=probe_station.contact_yield,
-                manufacturing_yield=config.manufacturing_yield,
-            )
-            value = spec.value(scenario, config, ate)
-            signed = spec.signed(value)
-            if signed > best_signed:
-                best_signed = signed
-                best = BoundCertificate(
-                    objective=spec.name,
-                    sense=spec.sense,
-                    value=value,
-                    sites=sites,
-                    channels_per_site=2 * width,
-                    test_time_cycles=cycles,
-                )
+        widths = feasible_widths[: bisect_right(feasible_widths, site_cap)]
+        pair_sites.extend([sites] * len(widths))
+        pair_widths.extend(widths)
         sites += 1
-    return best
+    if not pair_sites:
+        return None
+
+    seconds = {width: ate.cycles_to_seconds(times[width]) for width in feasible_widths}
+    values = objective_values(
+        pair_sites,
+        [2 * width for width in pair_widths],
+        [seconds[width] for width in pair_widths],
+        ate,
+        probe_station,
+        config,
+        spec,
+    )
+    # Strict first maximum: ties keep the earliest pair, NaN never wins, and
+    # a scan whose every signed value is -inf certifies nothing.
+    best: int | None = None
+    best_signed = -math.inf
+    for index, value in enumerate(values):
+        signed = spec.signed(value)
+        if signed > best_signed:
+            best_signed = signed
+            best = index
+    if best is None:
+        return None
+    width = pair_widths[best]
+    return BoundCertificate(
+        objective=spec.name,
+        sense=spec.sense,
+        value=values[best],
+        sites=pair_sites[best],
+        channels_per_site=2 * width,
+        test_time_cycles=times[width],
+    )
 
 
 def certificate(

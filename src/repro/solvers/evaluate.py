@@ -226,43 +226,61 @@ def evaluate_point(
     return point
 
 
-def _batch_objective_values(
-    pairs: Sequence[tuple[TestArchitecture, int]],
+def objective_values(
+    sites: Sequence[int],
+    channels_per_site: Sequence[int],
+    manufacturing_test_time_s: Sequence[float],
     ate: AteSpec,
     probe_station: ProbeStation,
     config: OptimizationConfig,
     spec: ObjectiveSpec,
-) -> list[float] | None:
-    """Vectorised objective values for ``pairs``, or ``None`` to go scalar.
+) -> list[float]:
+    """Objective values of many configurations sharing one test cell.
 
-    The array path is taken when numpy is importable, the objective
-    registered an array backend, and the batch is big enough to amortise
-    the array construction.  Validation of the shared test-cell parameters
+    Point ``i`` is ``sites[i]`` sites of ``channels_per_site[i]`` channels
+    each, testing for ``manufacturing_test_time_s[i]`` seconds.  The array
+    path is taken when numpy is importable, the objective registered an
+    array backend, and the batch is big enough to amortise the array
+    construction; validation of the shared test-cell parameters then
     happens once, in the :class:`~repro.multisite.batch.ScenarioBatch`
-    constructor, instead of once per point.
-    """
-    if ScenarioBatch is None or spec.array_backend is None or len(pairs) < 2:
-        return None
-    import numpy as np
+    constructor, instead of once per point.  Otherwise every point runs
+    through the scalar backend.  Both paths are bit-identical (the kernel
+    equivalence suite pins it), so callers never branch on which ran.
 
-    batch = ScenarioBatch(
-        sites=np.array([sites for _, sites in pairs], dtype=np.int64),
-        channels_per_site=np.array(
-            [architecture.ate_channels for architecture, _ in pairs], dtype=np.int64
-        ),
-        manufacturing_test_time_s=np.array(
-            [
-                ate.cycles_to_seconds(architecture.test_time_cycles)
-                for architecture, _ in pairs
-            ],
-            dtype=np.float64,
-        ),
-        index_time_s=probe_station.index_time_s,
-        contact_test_time_s=probe_station.contact_test_time_s,
-        contact_yield=probe_station.contact_yield,
-        manufacturing_yield=config.manufacturing_yield,
-    )
-    return [float(value) for value in spec.value_batch(batch, config, ate)]
+    This is the one batch-objective entry point: :func:`evaluate_batch`
+    and the certificate scan in :mod:`repro.solvers.bounds` both use it.
+    """
+    if ScenarioBatch is not None and spec.array_backend is not None and len(sites) >= 2:
+        import numpy as np
+
+        batch = ScenarioBatch(
+            sites=np.array(sites, dtype=np.int64),
+            channels_per_site=np.array(channels_per_site, dtype=np.int64),
+            manufacturing_test_time_s=np.array(manufacturing_test_time_s, dtype=np.float64),
+            index_time_s=probe_station.index_time_s,
+            contact_test_time_s=probe_station.contact_test_time_s,
+            contact_yield=probe_station.contact_yield,
+            manufacturing_yield=config.manufacturing_yield,
+        )
+        return [float(value) for value in spec.value_batch(batch, config, ate)]
+    return [
+        spec.value(
+            MultiSiteScenario(
+                sites=count,
+                timing=TestTiming(
+                    index_time_s=probe_station.index_time_s,
+                    contact_test_time_s=probe_station.contact_test_time_s,
+                    manufacturing_test_time_s=seconds,
+                ),
+                channels_per_site=channels,
+                contact_yield=probe_station.contact_yield,
+                manufacturing_yield=config.manufacturing_yield,
+            ),
+            config,
+            ate,
+        )
+        for count, channels, seconds in zip(sites, channels_per_site, manufacturing_test_time_s)
+    ]
 
 
 def evaluate_batch(
@@ -304,9 +322,18 @@ def evaluate_batch(
 
     if missing:
         missing_pairs = [pairs[position] for position in missing]
-        values = _batch_objective_values(missing_pairs, ate, probe_station, config, spec)
-        if values is None:
-            values = [None] * len(missing)  # type: ignore[list-item]
+        values = objective_values(
+            [sites for _, sites in missing_pairs],
+            [architecture.ate_channels for architecture, _ in missing_pairs],
+            [
+                ate.cycles_to_seconds(architecture.test_time_cycles)
+                for architecture, _ in missing_pairs
+            ],
+            ate,
+            probe_station,
+            config,
+            spec,
+        )
         for position, value in zip(missing, values):
             architecture, sites = pairs[position]
             point = _compute_point(

@@ -66,10 +66,13 @@ def make_record(scenario: "Scenario", result: "TwoStepResult") -> dict:
     consumer can verify it against the scenario that requested it.
 
     The ``analysis`` block carries the flat metric columns analysis needs
-    (plus the certified lower bound, computed here -- once per problem
-    structure, thanks to the certificate cache -- rather than on every
-    future scan), so the packed backend can fill its columnar sidecar and
-    the analysis layer can skip decoding the payload entirely.
+    (plus the certified lower bound, computed here once per record rather
+    than on every future scan), so the packed backend can fill its columnar
+    sidecar and the analysis layer can skip decoding the payload entirely.
+    The certificate cache is keyed on the full ATE, so the points of one
+    channel/depth sweep never share an entry: each record pays for one
+    batched certificate scan (:mod:`repro.solvers.bounds`) and one
+    plan-driven payload encode (:mod:`repro.store.serialize`).
     """
     from repro import __version__
     from repro.solvers.bounds import scenario_lower_bound

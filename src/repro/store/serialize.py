@@ -10,7 +10,7 @@ field round-trips bit-identically (Python's ``json`` encodes floats via
 ``repr``, which round-trips), so a result read back from disk is equal to
 the result that was written.
 
-Two design points:
+Three design points:
 
 * **Type allowlist.**  Only classes registered with
   :func:`register_storable` are encoded/decoded (the whole result graph is
@@ -22,6 +22,12 @@ Two design points:
   count and each architecture carries the full SOC; interning keeps the
   record small (tens of KB instead of MBs for a d695 result) and makes
   decoding fast enough that a warm store read is far cheaper than re-solving.
+* **Encode plans.**  The encoder dispatches on the exact type of each node:
+  scalars and plain tuples exit first, and every storable class gets a
+  plan -- its registered name, its init field names and whether it is an
+  enum -- built the first time it is encoded (after its allowlist check)
+  and reused for every later instance, so the per-node
+  :func:`dataclasses.fields` walk runs once per class, not once per node.
 
 The codec is deliberately independent of the scenario layer: it serialises
 *results*; scenario identity is handled by the store via the scenario's
@@ -101,6 +107,34 @@ def storable_names() -> tuple[str, ...]:
     return tuple(sorted(_STORABLE))
 
 
+#: Types whose instances encode as themselves.
+_SCALAR_TYPES = frozenset({type(None), bool, int, float, str})
+
+#: Per-class encode plans: ``(registered name, init field names, is enum)``.
+#: Built lazily on a class's first encode, and only once the class passed
+#: the allowlist check -- an unregistered type never gets a plan, so it
+#: raises on every encode.
+_PLANS: dict[type, tuple[str, tuple[str, ...], bool]] = {}
+
+
+def _plan_for(cls: type) -> tuple[str, tuple[str, ...], bool]:
+    """Build, allowlist-check and cache the encode plan of ``cls``."""
+    name = cls.__name__
+    if issubclass(cls, Enum):
+        if _STORABLE.get(name) is not cls:
+            raise StoreError(f"enum type {name!r} is not registered as storable")
+        plan = (name, (), True)
+    elif dataclasses.is_dataclass(cls):
+        if _STORABLE.get(name) is not cls:
+            raise StoreError(f"type {name!r} is not registered as storable")
+        fields = tuple(field.name for field in dataclasses.fields(cls) if field.init)
+        plan = (name, fields, False)
+    else:
+        raise StoreError(f"cannot encode object of type {name}")
+    _PLANS[cls] = plan
+    return plan
+
+
 class _Encoder:
     """One encoding pass; owns the interning memo."""
 
@@ -111,34 +145,35 @@ class _Encoder:
         self._keepalive: list[Any] = []
 
     def encode(self, obj: Any) -> Any:
-        if obj is None or isinstance(obj, (bool, int, str)):
+        cls = type(obj)
+        if cls in _SCALAR_TYPES:
             return obj
-        if isinstance(obj, float):
-            return obj
-        if isinstance(obj, tuple):
+        if cls is tuple:
             return {"__tuple__": [self.encode(item) for item in obj]}
-        if isinstance(obj, Enum):
-            name = type(obj).__name__
-            if _STORABLE.get(name) is not type(obj):
-                raise StoreError(f"enum type {name!r} is not registered as storable")
+        plan = _PLANS.get(cls)
+        if plan is None:
+            # Subclasses of the scalar and tuple types (str- or int-valued
+            # enums among them) encode like their base, as they always have.
+            if isinstance(obj, (bool, int, str, float)):
+                return obj
+            if isinstance(obj, tuple):
+                return {"__tuple__": [self.encode(item) for item in obj]}
+            plan = _plan_for(cls)
+        name, fields, is_enum = plan
+        if is_enum:
             return {"__enum__": name, "value": obj.value}
-        if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-            name = type(obj).__name__
-            if _STORABLE.get(name) is not type(obj):
-                raise StoreError(f"type {name!r} is not registered as storable")
-            ref = self._ids.get(id(obj))
-            if ref is not None:
-                return {"__ref__": ref}
-            ident = len(self._ids)
-            self._ids[id(obj)] = ident
-            self._keepalive.append(obj)
-            fields = {
-                field.name: self.encode(getattr(obj, field.name))
-                for field in dataclasses.fields(obj)
-                if field.init
-            }
-            return {"__dataclass__": name, "__id__": ident, "fields": fields}
-        raise StoreError(f"cannot encode object of type {type(obj).__name__}")
+        ref = self._ids.get(id(obj))
+        if ref is not None:
+            return {"__ref__": ref}
+        ident = len(self._ids)
+        self._ids[id(obj)] = ident
+        self._keepalive.append(obj)
+        encode = self.encode
+        return {
+            "__dataclass__": name,
+            "__id__": ident,
+            "fields": {field: encode(getattr(obj, field)) for field in fields},
+        }
 
 
 class _Decoder:

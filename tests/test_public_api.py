@@ -1,6 +1,9 @@
 """Tests of the top-level public API surface (``import repro``)."""
 
 import importlib
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +13,20 @@ import repro
 class TestPublicApi:
     def test_version(self):
         assert repro.__version__ == "1.9.0"
+
+    def test_setup_py_reports_the_package_version(self):
+        # setup.py parses its version out of src/repro/__init__.py; the
+        # built distribution and every store record's package_version must
+        # agree.
+        root = Path(__file__).resolve().parent.parent
+        completed = subprocess.run(
+            [sys.executable, "setup.py", "--version"],
+            cwd=root,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert completed.stdout.split()[-1] == repro.__version__
 
     def test_all_names_resolve(self):
         for name in repro.__all__:

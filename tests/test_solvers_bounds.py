@@ -6,14 +6,21 @@ exhaustive oracle, the certificate must never be beaten by the true optimum
 report negative "optimality gaps" all over the analysis layer.
 """
 
+import math
+
 import pytest
 
 from repro.ate.spec import AteSpec
 from repro.core.units import kilo_vectors
 from repro.itc02.registry import load_benchmark
+from repro.multisite.cost_model import TestTiming
+from repro.multisite.throughput import MultiSiteScenario
 from repro.objectives.registry import get_objective, objective_names
-from repro.optimize.config import OptimizationConfig
+from repro.optimize.channels import max_channels_per_site
+from repro.optimize.config import Objective, OptimizationConfig
+from repro.soc.catalog import resolve_catalog_soc
 from repro.soc.soc import Soc
+from repro.solvers import bounds, evaluate
 from repro.solvers.bounds import (
     certificate,
     problem_certificate,
@@ -189,3 +196,108 @@ class TestSolutionWiring:
         ate = AteSpec(channels=256, depth=kilo_vectors(88), name="ate-table1")
         solution = solve("goel05", make_problem(d695, ate))
         assert solution.gap < 0.01
+
+
+def _scalar_certificate(soc, ate, probe_station, config, objective):
+    """Independent oracle: the sites x width scan, one scalar call per pair.
+
+    Builds a validated :class:`MultiSiteScenario` for every admissible
+    ``(sites, width)`` pair, sites-major and width-minor, and keeps the
+    strict first maximum of the signed value -- the certificate's contract
+    spelled out point by point, bypassing the batch helper and the cache.
+    """
+    spec = get_objective(objective)
+    width_cap = ate.channels // 2
+    times = bounds._relaxed_test_times(soc, ate.depth, width_cap)
+    feasible = [width for width in range(1, width_cap + 1) if times[width] is not None]
+    if not feasible:
+        return None
+    best = None
+    best_signed = -math.inf
+    sites = max(1, config.min_sites)
+    while config.max_sites is None or sites <= config.max_sites:
+        site_cap = min(max_channels_per_site(ate.channels, sites, config.broadcast) // 2, width_cap)
+        if site_cap < feasible[0]:
+            break
+        for width in range(feasible[0], site_cap + 1):
+            cycles = times[width]
+            if cycles is None:
+                continue
+            scenario = MultiSiteScenario(
+                sites=sites,
+                timing=TestTiming(
+                    index_time_s=probe_station.index_time_s,
+                    contact_test_time_s=probe_station.contact_test_time_s,
+                    manufacturing_test_time_s=ate.cycles_to_seconds(cycles),
+                ),
+                channels_per_site=2 * width,
+                contact_yield=probe_station.contact_yield,
+                manufacturing_yield=config.manufacturing_yield,
+            )
+            value = spec.value(scenario, config, ate)
+            if spec.signed(value) > best_signed:
+                best_signed = spec.signed(value)
+                best = (value, sites, 2 * width, cycles)
+        sites += 1
+    return best
+
+
+#: Config variants of the parity suite: the plain default, abort-on-fail
+#: (yield-dependent test time), re-test throughput, a zero manufacturing
+#: yield (cost per good die goes to inf), broadcast, and both site clamps.
+PARITY_CONFIGS = (
+    OptimizationConfig(),
+    OptimizationConfig(abort_on_fail=True, manufacturing_yield=0.85),
+    OptimizationConfig(objective=Objective.UNIQUE_THROUGHPUT),
+    OptimizationConfig(manufacturing_yield=0.0),
+    OptimizationConfig(broadcast=True, abort_on_fail=True, manufacturing_yield=0.6),
+    OptimizationConfig(max_sites=3),
+    OptimizationConfig(min_sites=2),
+    OptimizationConfig(min_sites=3, max_sites=6, broadcast=True),
+)
+
+
+class TestCertificateParity:
+    """The batched certificate scan equals the scalar oracle field for field."""
+
+    @pytest.fixture
+    def cells(self, tiny_soc, d695, small_ate, probe, lossy_probe):
+        synthetic = resolve_catalog_soc("synthetic:42:8")
+        return (
+            (tiny_soc, small_ate, probe),
+            (tiny_soc, small_ate, lossy_probe),
+            (d695, AteSpec(channels=256, depth=kilo_vectors(88), name="ate-table1"), lossy_probe),
+            (synthetic, AteSpec(channels=512, depth=2_000_000, frequency_hz=5e6), probe),
+        )
+
+    def _assert_parity(self, cells, objective):
+        checked = 0
+        for soc, ate, probe_station in cells:
+            for config in PARITY_CONFIGS:
+                expected = _scalar_certificate(soc, ate, probe_station, config, objective)
+                # Bypass the lru_cache: the forced-scalar run must recompute.
+                cert = bounds._certificate.__wrapped__(
+                    soc, ate, probe_station, config, objective
+                )
+                if expected is None:
+                    assert cert is None, (soc.name, config, objective)
+                    continue
+                actual = (cert.value, cert.sites, cert.channels_per_site, cert.test_time_cycles)
+                assert actual == expected, (soc.name, config, objective)
+                assert cert.objective == objective
+                checked += 1
+        assert checked > 0
+
+    def test_batched_scan_matches_scalar_oracle(self, cells, objective):
+        self._assert_parity(cells, objective)
+
+    def test_scalar_fallback_matches_scalar_oracle(self, cells, objective, monkeypatch):
+        monkeypatch.setattr(evaluate, "ScenarioBatch", None)
+        self._assert_parity(cells, objective)
+
+    def test_zero_yield_certifies_no_cost(self, tiny_soc, small_ate, probe):
+        # Every pair costs inf per good die, so no signed value beats -inf.
+        config = OptimizationConfig(manufacturing_yield=0.0)
+        assert bounds._certificate.__wrapped__(
+            tiny_soc, small_ate, probe, config, "cost_per_good_die"
+        ) is None

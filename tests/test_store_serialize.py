@@ -6,11 +6,13 @@ import json
 import pytest
 
 from repro.api.scenario import Scenario
-from repro.api.testcell import TestCell
+from repro.api.testcell import TestCell, reference_test_cell
 from repro.core.exceptions import StoreError
 from repro.optimize.config import Objective, OptimizationConfig
 from repro.optimize.result import TwoStepResult
 from repro.optimize.two_step import optimize_multisite
+from repro.soc.catalog import resolve_catalog_soc
+from repro.store import serialize
 from repro.store.serialize import (
     decode_result,
     encode_result,
@@ -160,3 +162,107 @@ class TestScenarioDigest:
     def test_digest_solver_aware(self, tiny_soc, small_ate):
         base = Scenario(soc=tiny_soc, test_cell=TestCell(ate=small_ate))
         assert base.digest != base.with_solver("restart").digest
+
+
+class _ReferenceEncoder:
+    """The recursive encoder the plan-driven one replaced, kept as an oracle.
+
+    Walks an ``isinstance`` chain and calls :func:`dataclasses.fields` on
+    every dataclass node; the shipped encoder must produce the same bytes.
+    """
+
+    def __init__(self):
+        self._ids = {}
+        self._keepalive = []
+
+    def encode(self, obj):
+        from enum import Enum
+
+        if obj is None or isinstance(obj, (bool, int, str)):
+            return obj
+        if isinstance(obj, float):
+            return obj
+        if isinstance(obj, tuple):
+            return {"__tuple__": [self.encode(item) for item in obj]}
+        if isinstance(obj, Enum):
+            name = type(obj).__name__
+            if serialize._STORABLE.get(name) is not type(obj):
+                raise StoreError(f"enum type {name!r} is not registered as storable")
+            return {"__enum__": name, "value": obj.value}
+        if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+            name = type(obj).__name__
+            if serialize._STORABLE.get(name) is not type(obj):
+                raise StoreError(f"type {name!r} is not registered as storable")
+            ref = self._ids.get(id(obj))
+            if ref is not None:
+                return {"__ref__": ref}
+            ident = len(self._ids)
+            self._ids[id(obj)] = ident
+            self._keepalive.append(obj)
+            fields = {
+                field.name: self.encode(getattr(obj, field.name))
+                for field in dataclasses.fields(obj)
+                if field.init
+            }
+            return {"__dataclass__": name, "__id__": ident, "fields": fields}
+        raise StoreError(f"cannot encode object of type {type(obj).__name__}")
+
+
+def _wire(data):
+    return json.dumps(data, separators=(",", ":"))
+
+
+class TestEncodePlans:
+    @pytest.mark.parametrize(
+        "soc_name, channels, depth_m, config",
+        [
+            ("d695", 256, 0.0625, OptimizationConfig()),
+            ("d695", 128, 0.125, OptimizationConfig(broadcast=True)),
+            (
+                "d695",
+                256,
+                0.0625,
+                OptimizationConfig(
+                    objective=Objective.UNIQUE_THROUGHPUT,
+                    abort_on_fail=True,
+                    manufacturing_yield=0.8,
+                ),
+            ),
+            ("synthetic:42:8", 256, 2.0, OptimizationConfig()),
+            ("synthetic:7:12", 512, 4.0, OptimizationConfig(broadcast=True)),
+        ],
+    )
+    def test_bytes_match_reference_encoder(self, soc_name, channels, depth_m, config):
+        cell = reference_test_cell(channels=channels, depth_m=depth_m)
+        result = optimize_multisite(
+            resolve_catalog_soc(soc_name), cell.ate, cell.probe_station, config
+        )
+        # Twice: the first encode builds the plans, the second reuses them.
+        for _ in range(2):
+            assert _wire(encode_result(result)) == _wire(_ReferenceEncoder().encode(result))
+
+    def test_scalars_tuples_and_enums_match_reference_encoder(self):
+        value = (1, 2.5, "x", None, True, (Objective.THROUGHPUT, ()), OptimizationConfig())
+        assert _wire(encode_result(value)) == _wire(_ReferenceEncoder().encode(value))
+
+    def test_unregistered_dataclass_raises_on_every_encode(self):
+        @dataclasses.dataclass(frozen=True)
+        class Rogue:
+            x: int
+
+        for _ in range(2):
+            with pytest.raises(StoreError, match="not registered"):
+                encode_result(Rogue(x=1))
+
+    def test_impostor_sharing_a_registered_name_raises(self, tiny_result):
+        # Encoding a real result first caches the genuine Soc plan; a
+        # different class named Soc must still be rejected, every time.
+        encode_result(tiny_result)
+
+        @dataclasses.dataclass(frozen=True)
+        class Soc:
+            name: str
+
+        for _ in range(2):
+            with pytest.raises(StoreError, match="not registered"):
+                encode_result(Soc(name="impostor"))
