@@ -77,9 +77,9 @@ persisted across processes with the content-addressed on-disk store
 (:mod:`repro.store`): attach one to an engine and equal scenarios are
 solved once per *store directory* instead of once per process::
 
-    from repro import Engine, ResultStore
+    from repro import Engine
 
-    engine = Engine(store=ResultStore("~/.cache/repro-store"))
+    engine = Engine(store="~/.cache/repro-store")
 
 (or pass ``--store DIR`` to the CLI).  ``python -m repro bench`` times the
 registered experiments, solver backends and the d695 sweep, and writes the
@@ -165,7 +165,6 @@ from repro.soc import (
 from repro.schedule import TestSchedule, build_schedule
 from repro.store import (
     PackedResultStore,
-    ResultStore,
     StoreEntry,
     StoreInfo,
     migrate_store,
@@ -245,7 +244,6 @@ __all__ = [
     "TestSchedule",
     "build_schedule",
     "PackedResultStore",
-    "ResultStore",
     "StoreEntry",
     "StoreInfo",
     "migrate_store",

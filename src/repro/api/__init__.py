@@ -17,7 +17,7 @@ This package is the canonical way to drive the reproduction:
   persists each one immediately, making interrupted campaigns resumable),
   with an in-process memo cache keyed on the scenario's canonical hash
   (optionally LRU-bounded via ``max_entries``), and optionally backed by a
-  persistent :class:`~repro.store.ResultStore` (``Engine(store=...)``)
+  persistent :class:`~repro.store.PackedResultStore` (``Engine(store=path)``)
   that shares solved scenarios across processes and sessions.
 
 Scenarios route through the solver registry (:mod:`repro.solvers`):

@@ -21,7 +21,7 @@
   to serial ones regardless of worker count or completion order.
 
 An engine can additionally be backed by a persistent
-:class:`~repro.store.ResultStore` (``Engine(store=...)``): scenarios not in
+:class:`~repro.store.PackedResultStore` (``Engine(store=path)``): scenarios not in
 the in-memory cache are looked up on disk before being computed, and every
 computed result is written back, so equal scenarios are solved once *across
 processes* -- repeated CLI invocations, CI runs and benchmark sessions.
@@ -53,7 +53,7 @@ from repro.solvers.problem import make_problem
 from repro.solvers.registry import DEFAULT_SOLVER, solve
 from repro.store.factory import open_store
 from repro.store.packed import PackedResultStore
-from repro.store.result_store import ResultStore, make_record
+from repro.store.result_store import make_record
 
 #: Default store-flush granularity of :meth:`Engine.run_iter`: every
 #: completed record is flushed immediately, preserving the strongest
@@ -176,7 +176,7 @@ class CacheInfo:
     """Hit/miss statistics of an engine's scenario cache.
 
     ``hits`` counts in-memory cache hits, ``store_hits`` counts scenarios
-    served from the engine's persistent :class:`~repro.store.ResultStore`
+    served from the engine's persistent :class:`~repro.store.PackedResultStore`
     tier, and ``misses`` counts scenarios that had to be computed.
     """
 
@@ -205,9 +205,8 @@ class Engine:
         so unbounded sweeps cannot grow the engine without limit.  Evictions
         are reported in :meth:`cache_info`.
     store:
-        Optional persistent tier: a :class:`~repro.store.ResultStore` or
-        :class:`~repro.store.PackedResultStore`, or a directory path one is
-        opened at (the backend is detected from the on-disk layout, see
+        Optional persistent tier: a :class:`~repro.store.PackedResultStore`,
+        or a directory path one is opened at (see
         :func:`repro.store.open_store`).  Scenarios missing from the
         in-memory cache are looked up here before being computed, and
         computed results are written back, so results are shared across
@@ -220,7 +219,7 @@ class Engine:
         cache: bool = True,
         workers: int | None = None,
         max_entries: int | None = None,
-        store: "ResultStore | PackedResultStore | str | Path | None" = None,
+        store: "PackedResultStore | str | Path | None" = None,
     ) -> None:
         if workers is not None and workers <= 0:
             raise ConfigurationError(f"worker count must be positive, got {workers}")
@@ -243,7 +242,7 @@ class Engine:
     # Cache management
     # ------------------------------------------------------------------
     @property
-    def store(self) -> "ResultStore | PackedResultStore | None":
+    def store(self) -> "PackedResultStore | None":
         """The persistent store tier, or ``None`` for a memory-only engine."""
         return self._result_store
 
@@ -263,8 +262,8 @@ class Engine:
         """Drop all in-memory memoised results (statistics are reset too).
 
         The persistent store tier is *not* touched; evict through
-        :meth:`ResultStore.evict <repro.store.ResultStore.evict>` when the
-        on-disk records should go too.
+        :meth:`PackedResultStore.evict <repro.store.PackedResultStore.evict>`
+        when the on-disk records should go too.
         """
         with self._lock:
             self._cache.clear()
@@ -314,7 +313,7 @@ class Engine:
         failing disk (full, permissions revoked mid-run) must not destroy a
         computed result -- the batch completes on the in-memory tier alone.
         Misconfigured store *paths* still fail fast, at
-        :class:`~repro.store.ResultStore` construction.
+        :func:`~repro.store.open_store` time.
         """
         with self._lock:
             self._misses += 1

@@ -242,7 +242,7 @@ class Scenario:
         """Full SHA-256 hex digest of the canonical key.
 
         This is the scenario's content address: the persistent
-        :class:`~repro.store.ResultStore` names its record files after it,
+        :class:`~repro.store.PackedResultStore` indexes its records by it,
         so any process that builds an equal scenario -- by benchmark name
         or by loaded object, under any cosmetic labels -- reads and writes
         the same record.

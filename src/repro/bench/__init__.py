@@ -4,7 +4,7 @@
 the registered experiments, the registered solver backends, the d695
 design-space sweep and the streaming campaign (cold vs
 interrupted-and-resumed multi-SOC sweep, :mod:`repro.bench.campaign`) --
-optionally against a persistent :class:`~repro.store.ResultStore`, so one
+optionally against a persistent :class:`~repro.store.PackedResultStore`, so one
 invocation measures the cold path and a rerun against the same directory
 measures the warm (store-hit) path.  The outcome is written as
 ``BENCH_<tag>.json``, a machine-readable record that CI uploads as an

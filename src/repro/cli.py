@@ -17,8 +17,8 @@ Installed as ``repro-multisite`` (see ``setup.py``) and runnable as
 * ``solvers``    -- list the registered solver backends;
 * ``objectives`` -- list the registered optimisation objectives;
 * ``store``      -- inspect and maintain a persistent result store
-  (``store info``, ``store migrate`` to the packed backend,
-  ``store compact``);
+  (``store info``, ``store migrate`` of a legacy directory to the packed
+  format, ``store compact``, ``store reindex``);
 * ``serve``      -- run the campaign service daemon: lease sweep shards to
   workers over HTTP/JSON and collect their records into one store;
 * ``work``       -- the matching worker loop: lease shards from a
@@ -33,7 +33,7 @@ Installed as ``repro-multisite`` (see ``setup.py``) and runnable as
 
 Result-producing sub-commands accept ``--store DIR``: scenario results are
 then read from and written to a persistent
-:class:`~repro.store.ResultStore` in that directory, so repeated
+:class:`~repro.store.PackedResultStore` in that directory, so repeated
 invocations skip already-solved operating points.  Without the flag every
 run is computed from scratch (and ``python -m repro all`` output stays
 byte-identical to earlier releases).
@@ -51,6 +51,7 @@ import argparse
 import contextlib
 import json
 import sys
+from pathlib import Path
 from typing import Sequence
 
 from repro.analysis import (
@@ -92,9 +93,9 @@ from repro.service.worker import run_worker
 from repro.soc.catalog import SYNTHETIC_PATTERN, list_catalog
 from repro.soc.soc import Soc
 from repro.solvers.registry import DEFAULT_SOLVER, list_solvers
-from repro.store.factory import is_packed, migrate_store, open_store
+from repro.store.factory import migrate_store, open_store
 from repro.store.packed import PackedResultStore
-from repro.store.result_store import STORE_FORMAT, ResultStore
+from repro.store.result_store import STORE_FORMAT
 
 #: Sub-commands with bespoke handlers; every other sub-command is generated
 #: from (and dispatched through) the experiment registry.
@@ -134,18 +135,15 @@ def _store_options() -> argparse.ArgumentParser:
         "--store",
         metavar="DIR",
         default=None,
-        help="persistent result-store directory (created when missing); "
-        "already-solved scenarios are read from it instead of recomputed",
+        help="persistent result-store directory (created when missing by "
+        "result-producing commands); already-solved scenarios are read from "
+        "it instead of recomputed",
     )
     return parent
 
 
 def _engine_from_args(args: argparse.Namespace) -> Engine:
-    """Build the engine a sub-command runs through (store-backed with --store).
-
-    The backend (legacy directory or packed) is detected from the store's
-    on-disk layout, so every sub-command works over either transparently.
-    """
+    """Build the engine a sub-command runs through (store-backed with --store)."""
     store = getattr(args, "store", None)
     return Engine(store=open_store(store) if store else None)
 
@@ -740,8 +738,8 @@ def _add_store_parser(
     store_subparsers.add_parser(
         "info",
         parents=[store_options],
-        help="record count, bytes and format of a --store directory "
-        "(packed stores: per-segment stats and orphan detection)",
+        help="record count, bytes and format of a --store directory, "
+        "with per-segment stats and orphan detection",
     )
     migrate = store_subparsers.add_parser(
         "migrate",
@@ -756,24 +754,23 @@ def _add_store_parser(
     store_subparsers.add_parser(
         "compact",
         parents=[store_options],
-        help="rewrite a packed store's live records into one fresh segment, "
+        help="rewrite a store's live records into one fresh segment, "
         "reclaiming dead bytes and dropping orphaned index entries",
     )
     reindex = store_subparsers.add_parser(
         "reindex",
         parents=[store_options],
-        help="rebuild a packed store's SQLite index from its segment files, "
-        "or (with --columns) the columnar analysis sidecars of either backend",
+        help="rebuild a store's SQLite index from its segment files, "
+        "or (with --columns) its columnar analysis sidecars",
     )
     reindex.add_argument(
         "--columns",
         action="store_true",
-        help="rebuild the .cols analysis sidecars (both backends) instead of "
-        "the SQLite index",
+        help="rebuild the .cols analysis sidecars instead of the SQLite index",
     )
 
 
-def _run_store_info_packed(store: PackedResultStore) -> int:
+def _run_store_info(store: PackedResultStore) -> int:
     print(f"store: {store.root}")
     print("backend: packed")
     print(f"format: {STORE_FORMAT}")
@@ -804,36 +801,6 @@ def _run_store_info_packed(store: PackedResultStore) -> int:
     return 0
 
 
-def _run_store_info(args: argparse.Namespace) -> int:
-    if is_packed(args.store):
-        return _run_store_info_packed(PackedResultStore(args.store))
-    store = ResultStore(args.store)
-    entries = store.scan()
-    total_bytes = sum(entry.size_bytes for entry in entries)
-    print(f"store: {store.root}")
-    print(f"format: {STORE_FORMAT}")
-    print(f"records: {len(entries)}")
-    print(f"bytes: {total_bytes}")
-    corrupt = store.info().corrupt
-    if corrupt:
-        print(f"corrupt: {corrupt} unreadable record file(s) skipped")
-    for label, field in (
-        ("SOC", "soc_name"),
-        ("solver", "solver"),
-        ("objective", "objective"),
-    ):
-        counts: dict[str, int] = {}
-        for entry in entries:
-            name = getattr(entry, field) or "?"
-            counts[name] = counts.get(name, 0) + 1
-        if counts:
-            breakdown = ", ".join(
-                f"{name}={counts[name]}" for name in sorted(counts)
-            )
-            print(f"by {label}: {breakdown}")
-    return 0
-
-
 def _run_store_migrate(args: argparse.Namespace) -> int:
     report = migrate_store(args.store, destination=args.dest)
     where = "in place" if report.in_place else f"to {report.destination}"
@@ -844,13 +811,8 @@ def _run_store_migrate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_store_compact(args: argparse.Namespace) -> int:
-    if not is_packed(args.store):
-        raise ConfigurationError(
-            f"{args.store} is not a packed store; 'store compact' only applies "
-            "after 'repro store migrate'"
-        )
-    stats = PackedResultStore(args.store).compact()
+def _run_store_compact(store: PackedResultStore) -> int:
+    stats = store.compact()
     print(f"compacted: {stats.records} live record(s), {stats.orphans_dropped} dropped")
     print(f"segments: {stats.segments_before} -> {stats.segments_after}")
     print(
@@ -860,20 +822,11 @@ def _run_store_compact(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_store_reindex(args: argparse.Namespace) -> int:
-    if args.columns:
-        store = open_store(args.store)
-        rows = store.reindex_columns()
-        print(f"rebuilt columnar sidecars: {rows} row(s)")
-        return 0
-    if not is_packed(args.store):
-        raise ConfigurationError(
-            f"{args.store} is not a packed store; 'store reindex' rebuilds the "
-            "SQLite index (use 'store reindex --columns' for the analysis "
-            "sidecars of either backend)"
-        )
-    rows = PackedResultStore(args.store).reindex()
-    print(f"reindexed: {rows} record(s)")
+def _run_store_reindex(store: PackedResultStore, columns: bool) -> int:
+    if columns:
+        print(f"rebuilt columnar sidecars: {store.reindex_columns()} row(s)")
+    else:
+        print(f"reindexed: {store.reindex()} record(s)")
     return 0
 
 
@@ -882,11 +835,18 @@ def _run_store(args: argparse.Namespace) -> int:
         raise ConfigurationError(f"store {args.store_command} needs --store DIR")
     if args.store_command == "migrate":
         return _run_store_migrate(args)
+    # The maintenance commands inspect an existing store; a mistyped path
+    # must not leave a fresh empty store behind.
+    if not Path(args.store).expanduser().is_dir():
+        raise ConfigurationError(
+            f"store {args.store_command}: {args.store} is not a store directory"
+        )
+    store = PackedResultStore(args.store)
     if args.store_command == "compact":
-        return _run_store_compact(args)
+        return _run_store_compact(store)
     if args.store_command == "reindex":
-        return _run_store_reindex(args)
-    return _run_store_info(args)
+        return _run_store_reindex(store, args.columns)
+    return _run_store_info(store)
 
 
 def _add_serve_parser(

@@ -53,7 +53,7 @@ from repro.service.protocol import (
 )
 from repro.store.factory import open_store
 from repro.store.packed import PackedResultStore
-from repro.store.result_store import ResultStore, decode_record, record_key
+from repro.store.result_store import decode_record, record_key
 
 #: Default lease time-to-live: how long a worker may go between heartbeats
 #: before its shard is handed to someone else.
@@ -101,7 +101,7 @@ class CampaignServer:
     ----------
     store:
         The result store completed records land in -- a store object or a
-        directory path (either backend; see :func:`repro.store.open_store`).
+        directory path (see :func:`repro.store.open_store`).
     lease_ttl:
         Seconds a worker may go between heartbeats before its shard lease
         expires and the shard is re-offered.
@@ -111,7 +111,7 @@ class CampaignServer:
 
     def __init__(
         self,
-        store: "ResultStore | PackedResultStore | str | Path",
+        store: "PackedResultStore | str | Path",
         *,
         lease_ttl: float = DEFAULT_LEASE_TTL,
         clock: Callable[[], float] = time.monotonic,
@@ -364,8 +364,8 @@ class CampaignServer:
                 fresh.append(record)
                 fresh_keys.add(key)
             if fresh:
-                # One bulk write per request: a single index transaction on
-                # the packed backend, whatever the batch size.
+                # One bulk write per request: a single index transaction,
+                # whatever the batch size.
                 self.store.put_records(fresh)
                 stored = len(fresh)
             self.counters["records_stored"] += stored
@@ -417,7 +417,7 @@ class CampaignServer:
             raise ConfigurationError("scenario payload must be a JSON object")
         scenario = scenario_from_wire(payload.get("scenario"))
         # Deliberately not under self._lock: a slow scenario must not block
-        # lease heartbeats (both store backends are internally thread-safe).
+        # lease heartbeats (the store is internally thread-safe).
         hit = self.store.contains_key(scenario.digest)
         outcome = self.engine.run(scenario)
         with self._lock:
@@ -597,7 +597,7 @@ class CampaignHTTPServer(ThreadingHTTPServer):
 
 
 def start_server(
-    store: "ResultStore | PackedResultStore | str | Path",
+    store: "PackedResultStore | str | Path",
     *,
     host: str = "127.0.0.1",
     port: int = 0,

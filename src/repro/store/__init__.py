@@ -3,17 +3,17 @@
 The scenario :class:`~repro.api.engine.Engine` memoises results in memory,
 but every new process starts cold.  This package adds the tier below it:
 
-* :class:`~repro.store.result_store.ResultStore` -- a content-addressed
-  on-disk store (one JSON record per solved scenario, keyed by the
-  scenario's solver-aware canonical digest) with atomic writes and
-  corruption-tolerant reads;
-* :class:`~repro.store.packed.PackedResultStore` -- the same records
-  packed into append-only segment files behind a SQLite index, for
-  million-record campaign stores (indexed lookups, sub-second ``info``,
-  ``compact``/``reindex`` maintenance);
+* :class:`~repro.store.packed.PackedResultStore` -- the content-addressed
+  on-disk store: one JSON record per solved scenario (keyed by the
+  scenario's solver-aware canonical digest, built by
+  :func:`~repro.store.result_store.make_record`) packed into append-only
+  segment files behind a SQLite index, with corruption-tolerant reads,
+  indexed lookups, sub-second ``info`` and ``compact``/``reindex``
+  maintenance;
 * :func:`~repro.store.factory.open_store` /
-  :func:`~repro.store.factory.migrate_store` -- backend detection by
-  on-disk layout, and digest-verified legacy-to-packed migration;
+  :func:`~repro.store.factory.migrate_store` -- the one way to open a
+  store by path, and digest-verified migration of legacy
+  one-file-per-record directories into the packed format;
 * :mod:`~repro.store.serialize` -- the exact JSON codec for the result
   graph (registered frozen dataclasses only, with sub-object interning).
 
@@ -34,7 +34,6 @@ from repro.store.packed import (
 from repro.store.result_store import (
     RECORD_SUFFIX,
     STORE_FORMAT,
-    ResultStore,
     StoreEntry,
     StoreInfo,
     decode_record,
@@ -54,7 +53,6 @@ __all__ = [
     "CompactStats",
     "MigrationReport",
     "PackedResultStore",
-    "ResultStore",
     "SegmentStat",
     "StoreEntry",
     "StoreInfo",

@@ -1,21 +1,17 @@
-"""Store factory and migration: one entry point for both store backends.
+"""Store factory and migration: one entry point for the one store backend.
 
 Everything above the store layer (the engine, the analysis loaders, the
 bench runner, the CLI, the campaign service) opens persistent stores
-through :func:`open_store`, which detects the on-disk layout:
+through :func:`open_store`, which always opens a
+:class:`~repro.store.packed.PackedResultStore` (segment files + SQLite
+index).  A fresh or empty directory is initialised as a packed store; a
+directory of legacy one-file-per-record ``*.json`` data is refused until
+it has been migrated.
 
-* a directory holding a ``packed.manifest`` opens as a
-  :class:`~repro.store.packed.PackedResultStore` (segment files + SQLite
-  index);
-* anything else opens as the legacy one-file-per-record
-  :class:`~repro.store.result_store.ResultStore` -- including a fresh
-  empty directory, so the default backend (and every existing workflow)
-  is unchanged.
-
-:func:`migrate_store` converts a legacy directory into the packed format,
-verifying every record's digest on the way and preserving the record
-bytes verbatim -- analysis over a migrated store is byte-identical to
-analysis over the original directory.  Migration writes through the
+:func:`migrate_store` converts such a legacy directory into the packed
+format, verifying every record's digest on the way and preserving the
+record bytes verbatim -- analysis over a migrated store is byte-identical
+to analysis over the original records.  Migration writes through the
 packed ``put_records`` path, so the new segments get their columnar
 ``.cols`` analysis sidecars (:mod:`repro.store.columns`) as they are
 built: full column rows for records carrying a write-time ``analysis``
@@ -32,11 +28,7 @@ from pathlib import Path
 
 from repro.core.exceptions import ConfigurationError, StoreError
 from repro.store.packed import PACKED_MANIFEST, PackedResultStore
-from repro.store.result_store import RECORD_SUFFIX, ResultStore, record_key
-
-#: Union type every store consumer works against (duck-typed: ``get``,
-#: ``put``, ``put_record``, ``scan``, ``records``, ``evict``, ``info``).
-AnyStore = "ResultStore | PackedResultStore"
+from repro.store.result_store import ResultStore, record_key
 
 
 def is_packed(root: str | Path) -> bool:
@@ -44,24 +36,23 @@ def is_packed(root: str | Path) -> bool:
     return (Path(root).expanduser() / PACKED_MANIFEST).is_file()
 
 
-def open_store(store) -> "ResultStore | PackedResultStore":
-    """Open a persistent result store, whatever its backend.
+def open_store(store: "PackedResultStore | str | Path") -> PackedResultStore:
+    """Open a persistent result store.
 
-    Accepts an already-open store object (returned unchanged, so call
-    sites can be handed either a path or a store), or a directory path:
-    packed layouts open packed, everything else opens as the legacy
-    directory backend.
+    Accepts an already-open store (returned unchanged, so call sites can
+    be handed either a path or a store), or a directory path, which opens
+    as a :class:`~repro.store.packed.PackedResultStore` (created when
+    missing; a legacy directory raises :class:`ConfigurationError` naming
+    ``repro store migrate``).
     """
-    if isinstance(store, (ResultStore, PackedResultStore)):
+    if isinstance(store, PackedResultStore):
         return store
     if not isinstance(store, (str, Path)):
         raise ConfigurationError(
             f"cannot open a store from a {type(store).__name__}; "
             "pass a directory path or a store object"
         )
-    if is_packed(store):
-        return PackedResultStore(store)
-    return ResultStore(store)
+    return PackedResultStore(store)
 
 
 @dataclass(frozen=True)
@@ -115,7 +106,7 @@ def migrate_store(
     in_place = destination is None
     destination = source if in_place else Path(destination).expanduser()
 
-    record_paths = sorted(source.glob(f"*{RECORD_SUFFIX}"))
+    record_paths = ResultStore(source).record_files()
     records: list[dict] = []
     keep_paths: list[Path] = []
     corrupt = 0
@@ -134,8 +125,8 @@ def migrate_store(
         keep_paths.append(path)
 
     # Build the packed layout first and commit the manifest marker last:
-    # until the marker exists the directory still opens as a legacy store,
-    # so a crash mid-migration loses nothing.
+    # until the marker exists the directory is still a legacy store, so a
+    # crash mid-migration loses nothing.
     packed = PackedResultStore(destination, manifest=False)
     try:
         if records:

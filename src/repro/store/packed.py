@@ -1,15 +1,12 @@
 """Packed result store: append-only segments + a SQLite index.
 
-The directory backend (:class:`~repro.store.result_store.ResultStore`)
-writes one ~27 KB JSON file per record, which is fine for a d695 sweep and
-hopeless for million-scenario campaigns: directory scans dominate, inodes
-run out, and ``store info`` degrades linearly.  :class:`PackedResultStore`
-keeps the exact same record dicts (see
-:func:`~repro.store.result_store.make_record`) but packs them into a small
-number of **append-only segment files** (one JSON record per line) and
-finds them again through a **SQLite index** keyed by the scenario's
-canonical digest -- lookups are one indexed query plus one ranged read,
-independent of how many records the store holds.
+:class:`PackedResultStore` is the persistent store.  It keeps one record
+dict per solved scenario (see :func:`~repro.store.result_store.make_record`)
+packed into a small number of **append-only segment files** (one JSON
+record per line) and finds them again through a **SQLite index** keyed by
+the scenario's canonical digest -- lookups are one indexed query plus one
+ranged read, independent of how many records the store holds, so
+million-scenario campaigns cost neither inodes nor directory scans.
 
 Layout of a packed store directory::
 
@@ -25,7 +22,7 @@ Invariants the format maintains:
 * **Segments are the source of truth.**  The index is a derived
   accelerator: it can always be rebuilt by re-reading the segment lines
   (:meth:`PackedResultStore.reindex`), so index durability is relaxed for
-  speed (WAL journaling, no fsync per record).
+  speed (WAL journaling, no fsync per record, a small checkpointed WAL).
 * **One writer per segment file.**  Every store instance appends to its
   own segment (named after its pid plus an instance counter), so
   concurrent processes never interleave bytes within a file; the index
@@ -33,9 +30,8 @@ Invariants the format maintains:
   so the index never points at bytes that were not written.
 * **Reads are corruption-tolerant.**  A record whose segment line is
   missing, truncated or fails validation counts as a miss (and as
-  ``corrupt`` in :meth:`info`), never as an error -- exactly like the
-  directory backend.  Such rows are *orphans*; :meth:`orphans` finds them
-  and :meth:`compact` drops them.
+  ``corrupt`` in :meth:`info`), never as an error.  Such rows are
+  *orphans*; :meth:`orphans` finds them and :meth:`compact` drops them.
 * **Eviction is logical.**  :meth:`evict` deletes index rows; dead segment
   bytes are reclaimed by :meth:`compact`, which rewrites all live records
   into one fresh segment.
@@ -46,11 +42,8 @@ Invariants the format maintains:
   decoding the segment when it is missing or stale;
   :meth:`reindex_columns` rebuilds sidecars from the segments.
 
-The class is call-compatible with :class:`ResultStore` (``get``/``put``/
-``put_record``/``scan``/``records``/``evict``/``info``/``__len__``/
-``__contains__``), so the engine, the analysis layer and the campaign
-service use either backend interchangeably -- :func:`repro.store.factory.
-open_store` picks the right one by looking for the manifest.
+The engine, the analysis layer and the campaign service all open it
+through :func:`repro.store.factory.open_store`.
 """
 
 from __future__ import annotations
@@ -68,6 +61,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 from repro.core.exceptions import ConfigurationError, ReproError, StoreError
 from repro.store import columns as columns_module
 from repro.store.result_store import (
+    RECORD_SUFFIX,
     STORE_FORMAT,
     StoreEntry,
     StoreInfo,
@@ -160,30 +154,30 @@ class PackedResultStore:
     root:
         The packed store directory.  An empty or missing directory is
         initialised as a new packed store; a directory holding legacy
-        one-file-per-record data is rejected (run ``repro store migrate``
-        first), as is anything that is not a directory.
+        one-file-per-record data is rejected, untouched (run ``repro store
+        migrate`` first), as is anything that is not a directory.
     manifest:
         When ``False``, neither check for nor write the ``packed.manifest``
         marker.  Only the migration tool uses this: it builds the packed
         layout first and commits the marker last, so a crashed in-place
-        migration leaves the directory still opening as a legacy store.
+        migration leaves the directory still a legacy store.
     """
 
     def __init__(self, root: str | Path, *, manifest: bool = True) -> None:
         self._root = Path(root).expanduser()
         if self._root.exists() and not self._root.is_dir():
             raise ConfigurationError(f"store path {self._root} exists and is not a directory")
+        fresh = manifest and not (self._root / PACKED_MANIFEST).exists()
+        if fresh and any(self._root.glob(f"*{RECORD_SUFFIX}")):
+            raise ConfigurationError(
+                f"{self._root} is not a packed store: it holds legacy one-file-per-record "
+                "data; run 'repro store migrate' to convert it to the packed format"
+            )
         try:
-            self._root.mkdir(parents=True, exist_ok=True)
-            (self._root / SEGMENT_DIR).mkdir(exist_ok=True)
+            (self._root / SEGMENT_DIR).mkdir(parents=True, exist_ok=True)
         except OSError as error:
             raise ConfigurationError(f"cannot create store directory {self._root}: {error}") from error
-        if manifest and not (self._root / PACKED_MANIFEST).exists():
-            if any(self._root.glob("*.json")):
-                raise ConfigurationError(
-                    f"{self._root} holds legacy one-file-per-record data; "
-                    "run 'repro store migrate' to convert it to the packed format"
-                )
+        if fresh:
             self.write_manifest()
         self._lock = threading.Lock()
         self._connection: sqlite3.Connection | None = None
@@ -228,10 +222,16 @@ class PackedResultStore:
             try:
                 # WAL keeps readers and writers from blocking each other and
                 # makes commits cheap; NORMAL is safe because the index is
-                # rebuildable from the segments.  Both pragmas can fail on
-                # exotic filesystems -- the store works (slower) without them.
+                # rebuildable from the segments.  Each commit appends whole
+                # index pages to the WAL, so checkpoint it every 64 pages and
+                # truncate it then: a writer that is never closed keeps a
+                # WAL of a few hundred KB, not ~9 KB per record.  The pragmas
+                # can fail on exotic filesystems -- the store works (slower)
+                # without them.
                 connection.execute("PRAGMA journal_mode=WAL")
                 connection.execute("PRAGMA synchronous=NORMAL")
+                connection.execute("PRAGMA wal_autocheckpoint=64")
+                connection.execute("PRAGMA journal_size_limit=0")
             except sqlite3.Error:
                 pass
             connection.execute(_SCHEMA)
@@ -322,9 +322,9 @@ class PackedResultStore:
     def info(self) -> StoreInfo:
         """Hit/miss/put/corruption statistics plus the packed shape.
 
-        Unlike the directory backend this is O(1)-ish in the record count:
-        the size is one indexed ``COUNT(*)`` and the segment count one
-        directory listing -- no record files are opened.
+        O(1)-ish in the record count: the size is one indexed ``COUNT(*)``
+        and the segment count one directory listing -- no record bytes are
+        read.
         """
         with self._lock:
             connection = self._connect()
@@ -336,8 +336,6 @@ class PackedResultStore:
                 puts=self._puts,
                 corrupt=self._corrupt,
                 size=size,
-                backend="packed",
-                format=STORE_FORMAT,
                 segments=segments,
             )
 
@@ -397,9 +395,9 @@ class PackedResultStore:
         """Return the stored result for ``scenario``, or ``None`` on a miss.
 
         One indexed lookup plus one ranged segment read -- latency is
-        independent of the store's record count.  Validation matches the
-        directory backend exactly: wrong format, key mismatch or a payload
-        that fails to decode is a corrupt-record miss, never an error.
+        independent of the store's record count.  A record with the wrong
+        format, a key mismatch or a payload that fails to decode is a
+        corrupt-record miss, never an error.
         """
         key = scenario.digest
         with self._lock:
@@ -506,7 +504,7 @@ class PackedResultStore:
             ).fetchall()
 
     def scan(self) -> tuple[StoreEntry, ...]:
-        """List every readable record, sorted by key (like the directory backend).
+        """List every readable record, sorted by key.
 
         Entries point at the record's segment file; ``size_bytes`` is the
         record line's length.  Unreadable rows are skipped and counted as
@@ -526,10 +524,10 @@ class PackedResultStore:
     def records(self) -> "Iterator[tuple[StoreEntry, TwoStepResult]]":
         """Yield every readable ``(entry, result)`` pair, sorted by key.
 
-        The analysis bulk read; identical semantics to
-        :meth:`ResultStore.records <repro.store.result_store.ResultStore.
-        records>` so ``repro analyze`` output over a migrated store is
-        byte-identical to the legacy directory it came from.
+        The analysis bulk read (:mod:`repro.analysis`): each live record
+        is parsed once, yielding its :class:`StoreEntry` metadata and its
+        decoded payload.  Unreadable rows are skipped and counted as
+        ``corrupt``, exactly like :meth:`scan`.
         """
         for key, segment, offset, length in self._index_rows():
             try:

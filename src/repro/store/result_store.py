@@ -1,39 +1,37 @@
-"""Content-addressed on-disk store for solved scenarios.
+"""Store records: the one wire/disk format of the store layer.
 
-:class:`ResultStore` persists one JSON record per solved ``(scenario,
-solver)`` point, keyed by the scenario's solver-aware canonical digest
-(:attr:`repro.api.scenario.Scenario.digest` -- the SHA-256 of the resolved
-canonical key, so the same operating point hits the same record no matter
-how the SOC was referenced or which process computed it).  It is the third
-caching tier of the system, and the only one that survives the process:
+Every solved ``(scenario, solver)`` point is persisted as one JSON record
+dict (:func:`make_record`), keyed by the scenario's solver-aware canonical
+digest (:attr:`repro.api.scenario.Scenario.digest` -- the SHA-256 of the
+resolved canonical key, so the same operating point hits the same record
+no matter how the SOC was referenced or which process computed it).  The
+:class:`~repro.store.packed.PackedResultStore` appends these dicts to its
+segments, and the campaign service ships them over HTTP.  The store is the
+third caching tier of the system, and the only one that survives the
+process:
 
 1. the per-process evaluation kernel (:mod:`repro.solvers.evaluate`)
    memoises ``(design, sites)`` points;
 2. the :class:`~repro.api.engine.Engine` memoises whole scenario results
    in memory;
-3. this store memoises scenario results **on disk**, amortising repeated
+3. the store memoises scenario results **on disk**, amortising repeated
    CLI invocations, CI runs and benchmark sessions.
 
-Records are written atomically (temp file + ``os.replace`` in the store
-directory), so concurrent writers -- parallel ``run_batch`` drivers or
-several engines sharing one directory -- can never expose a half-written
-record to a reader; the worst case is that the same record is computed and
-written twice.  Reads are corruption-tolerant: a truncated file, a
-hash/format mismatch or a payload that fails validation counts as a miss
-(and is reported in :meth:`ResultStore.info`), never as an error or a wrong
-result.
+Reads are corruption-tolerant: a record that fails :func:`decode_record`
+counts as a miss, never as an error or a wrong result.
+
+Earlier releases wrote one ``<key>.json`` file per record instead;
+:class:`ResultStore` is the read-only view of such a directory that
+``repro store migrate`` packs.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
-import os
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterable
 
 from repro.core.exceptions import ConfigurationError, ReproError, StoreError
 from repro.objectives.registry import DEFAULT_OBJECTIVE
@@ -47,27 +45,22 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: records written under another format version are treated as misses.
 STORE_FORMAT = 1
 
-#: File-name suffix of store records.
+#: File-name suffix of the records of a legacy directory store.
 RECORD_SUFFIX = ".json"
-
-#: Per-process counter making staging file names unique, so concurrent
-#: writers (threads of one process as well as separate processes, which
-#: differ by pid) never share a temp file.
-_STAGING_IDS = itertools.count()
 
 
 def make_record(scenario: "Scenario", result: "TwoStepResult") -> dict:
-    """Build the JSON record dict every store backend persists for a scenario.
+    """Build the JSON record dict the store persists for a scenario.
 
-    This is the single wire/disk format of the store layer: the directory
-    backend writes one such dict per file, the packed backend appends them
-    as segment lines, and the campaign service ships them over HTTP.  The
-    record is self-describing (``key`` is the scenario's full digest), so a
-    consumer can verify it against the scenario that requested it.
+    This is the single wire/disk format of the store layer: the packed
+    store appends these dicts as segment lines, and the campaign service
+    ships them over HTTP.  The record is self-describing (``key`` is the
+    scenario's full digest), so a consumer can verify it against the
+    scenario that requested it.
 
     The ``analysis`` block carries the flat metric columns analysis needs
     (plus the certified lower bound, computed here once per record rather
-    than on every future scan), so the packed backend can fill its columnar
+    than on every future scan), so the store can fill its columnar
     sidecar and the analysis layer can skip decoding the payload entirely.
     The certificate cache is keyed on the full ATE, so the points of one
     channel/depth sweep never share an entry: each record pays for one
@@ -127,10 +120,10 @@ def record_lower_bound(record: object) -> tuple[bool, float | None]:
 def decode_record(record: object, expected_key: str | None = None) -> "TwoStepResult":
     """Validate a parsed record dict and rebuild its result payload.
 
-    Shared read-path validation of both store backends: the record must be
-    a dict carrying the current :data:`STORE_FORMAT`, its recorded ``key``
-    must match ``expected_key`` (when given), and its payload must decode
-    into a :class:`~repro.optimize.result.TwoStepResult`.
+    The store's read-path validation: the record must be a dict carrying
+    the current :data:`STORE_FORMAT`, its recorded ``key`` must match
+    ``expected_key`` (when given), and its payload must decode into a
+    :class:`~repro.optimize.result.TwoStepResult`.
 
     Raises
     ------
@@ -187,7 +180,7 @@ def record_key(record: object) -> str:
     Raises
     ------
     StoreError
-        When the record carries no key, or the key could escape the store
+        When the record carries no key, or the key is not a plain token
         (path separators, dots) -- raw ingestion (the campaign service, the
         migration tool) must never let a payload name a file outside the
         store.
@@ -204,22 +197,23 @@ def record_key(record: object) -> str:
 
 @dataclass(frozen=True)
 class StoreEntry:
-    """One record found by :meth:`ResultStore.scan`.
+    """One record found by :meth:`PackedResultStore.scan
+    <repro.store.packed.PackedResultStore.scan>`.
 
     Attributes
     ----------
     key:
-        The scenario's full canonical digest (also the file stem).
+        The scenario's full canonical digest.
     path:
-        Location of the record file.
+        The segment file holding the record.
     soc_name, solver, objective:
-        Scenario metadata recorded at :meth:`ResultStore.put` time.
+        Scenario metadata recorded at write time.
         ``objective`` falls back to the default objective name for records
         written before the objective axis existed.
     package_version:
         ``repro.__version__`` of the writer.
     size_bytes:
-        Size of the record file.
+        Length of the record's segment line.
     created_at:
         POSIX timestamp recorded at write time.
     lower_bound, has_lower_bound:
@@ -245,15 +239,13 @@ class StoreEntry:
 class StoreInfo:
     """Session statistics of one result-store instance.
 
-    ``hits``/``misses`` count :meth:`ResultStore.get` outcomes; ``corrupt``
-    counts reads that found a record file but could not use it (bad JSON,
-    format or key mismatch, failed validation) -- each such read is also a
-    miss.  ``puts`` counts written records, ``size`` is the current number
-    of records on disk.  ``backend`` names the on-disk layout (``"dir"``
-    for the one-file-per-record :class:`ResultStore`, ``"packed"`` for the
-    segmented :class:`~repro.store.packed.PackedResultStore`), ``format``
-    the record format version, and ``segments`` the number of segment
-    files (always 0 for the directory backend).
+    ``hits``/``misses`` count ``get`` outcomes; ``corrupt`` counts reads
+    that found a record but could not use it (bad JSON, format or key
+    mismatch, failed validation) -- each such read is also a miss.
+    ``puts`` counts written records, ``size`` is the current number of
+    records.  ``backend`` names the on-disk layout (``"packed"``),
+    ``format`` the record format version, and ``segments`` the number of
+    segment files.
     """
 
     hits: int
@@ -261,275 +253,51 @@ class StoreInfo:
     puts: int
     corrupt: int
     size: int
-    backend: str = "dir"
+    backend: str = "packed"
     format: int = STORE_FORMAT
     segments: int = 0
 
 
 class ResultStore:
-    """Content-addressed persistent cache of scenario results.
+    """Read-only view of a legacy directory store: one ``<key>.json`` per record.
 
-    Parameters
-    ----------
-    root:
-        Directory holding the record files (created when missing).  One
-        store directory can be shared by any number of engines and
-        processes; the atomic-write discipline keeps readers safe.
-
-    Examples
-    --------
-    >>> from repro import Engine, Scenario, reference_test_cell   # doctest: +SKIP
-    >>> store = ResultStore("~/.cache/repro-store")               # doctest: +SKIP
-    >>> engine = Engine(store=store)                              # doctest: +SKIP
-
-    The second process running the same scenario gets a store hit instead
-    of re-solving it.
+    Nothing writes this layout any more.  A
+    :class:`~repro.store.packed.PackedResultStore` refuses such a
+    directory, and :func:`~repro.store.factory.migrate_store` reads its
+    records through :meth:`record_files` to pack them.  The lookups answer
+    from the files; writes are refused, and nothing is ever created.
+    The lookup and write names stay because ``perfbench/instrument.py``
+    wraps ``ResultStore.get``/``contains_key``/``missing_keys``/
+    ``put_records`` by name when it traces a run.
     """
 
     def __init__(self, root: str | Path) -> None:
-        self._root = Path(root).expanduser()
-        if self._root.exists() and not self._root.is_dir():
-            raise ConfigurationError(f"store path {self._root} exists and is not a directory")
-        try:
-            self._root.mkdir(parents=True, exist_ok=True)
-        except OSError as error:
-            raise ConfigurationError(f"cannot create store directory {self._root}: {error}") from error
-        self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._puts = 0
-        self._corrupt = 0
+        self.root = Path(root).expanduser()
 
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def root(self) -> Path:
-        """The store directory."""
-        return self._root
-
-    def path_for(self, scenario: "Scenario") -> Path:
-        """Record file a scenario's result is (or would be) stored at."""
-        return self._root / f"{scenario.digest}{RECORD_SUFFIX}"
-
-    def info(self) -> StoreInfo:
-        """Hit/miss/put/corruption statistics of this store instance."""
-        size = len(self)
-        with self._lock:
-            return StoreInfo(
-                hits=self._hits,
-                misses=self._misses,
-                puts=self._puts,
-                corrupt=self._corrupt,
-                size=size,
-            )
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self._record_paths())
-
-    def __contains__(self, scenario: "Scenario") -> bool:
-        return self.path_for(scenario).is_file()
+    def record_files(self) -> list[Path]:
+        """The record files, sorted by key."""
+        return sorted(self.root.glob(f"*{RECORD_SUFFIX}"))
 
     def contains_key(self, key: str) -> bool:
-        """Presence test by digest (no record bytes are read or validated).
+        """Presence test by digest; a key naming a path outside the directory is absent."""
+        candidate = self.root / f"{key}{RECORD_SUFFIX}"
+        return candidate.parent == self.root and candidate.is_file()
 
-        Keys that could not name a record file of this store (path
-        separators, dots) are simply absent, never an error.
-        """
-        candidate = self._root / f"{key}{RECORD_SUFFIX}"
-        return candidate.parent == self._root and candidate.is_file()
+    def missing_keys(self, keys: Iterable[str]) -> tuple[str, ...]:
+        """The subset of ``keys`` not held, in input order, each reported once."""
+        return tuple(key for key in dict.fromkeys(keys) if not self.contains_key(key))
 
-    def missing_keys(self, keys: "Iterator[str] | list[str] | tuple[str, ...]") -> tuple[str, ...]:
-        """The subset of ``keys`` the store does not hold, in input order.
-
-        The batch presence test the campaign service answers worker dedup
-        queries with; duplicated input keys are reported once.  Same
-        semantics as :meth:`PackedResultStore.missing_keys
-        <repro.store.packed.PackedResultStore.missing_keys>`, so the
-        service works over either backend.
-        """
-        seen: dict[str, None] = {}
-        for key in keys:
-            if key not in seen:
-                seen[key] = None
-        return tuple(key for key in seen if not self.contains_key(key))
-
-    def _record_paths(self) -> Iterator[Path]:
-        try:
-            yield from sorted(self._root.glob(f"*{RECORD_SUFFIX}"))
-        except OSError:
-            return
-
-    def record_files(self) -> Iterator[Path]:
-        """The store's record files, sorted by key (one ``.json`` per record)."""
-        return self._record_paths()
-
-    # ------------------------------------------------------------------
-    # Read path
-    # ------------------------------------------------------------------
     def get(self, scenario: "Scenario") -> "TwoStepResult | None":
-        """Return the stored result for ``scenario``, or ``None`` on a miss.
-
-        A record only counts as a hit when it parses, carries the current
-        :data:`STORE_FORMAT`, its recorded key matches the scenario's
-        digest, and its payload rebuilds into a valid result.  Everything
-        else -- including a record written under a different store format
-        or moved to the wrong file name -- is a miss.
-        """
-        path = self.path_for(scenario)
+        """The stored result for ``scenario``; ``None`` when absent or unusable."""
         try:
-            raw = path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            self._count(misses=1)
+            raw = (self.root / f"{scenario.digest}{RECORD_SUFFIX}").read_text(encoding="utf-8")
+            return decode_record(json.loads(raw), expected_key=scenario.digest)
+        except (OSError, json.JSONDecodeError, ReproError, KeyError, TypeError, ValueError):
             return None
-        except OSError:
-            self._count(misses=1, corrupt=1)
-            return None
-        try:
-            result = decode_record(json.loads(raw), expected_key=scenario.digest)
-        except (json.JSONDecodeError, KeyError, ReproError, TypeError, ValueError):
-            self._count(misses=1, corrupt=1)
-            return None
-        self._count(hits=1)
-        return result
 
-    # ------------------------------------------------------------------
-    # Write path
-    # ------------------------------------------------------------------
-    def put(self, scenario: "Scenario", result: "TwoStepResult") -> Path:
-        """Persist ``result`` under ``scenario``'s digest; returns the path.
-
-        The record is staged in a sibling temp file and moved into place
-        with :func:`os.replace`, which is atomic on POSIX and Windows:
-        readers (including engine process-pool drivers sharing the
-        directory) either see the previous record or the complete new one.
-        """
-        return self.put_record(make_record(scenario, result))
-
-    def put_record(self, record: dict) -> Path:
-        """Persist an already-built record dict under its own ``key``.
-
-        The raw-ingestion path: the campaign service stores records shipped
-        by remote workers through here, and so does store migration.  The
-        key is validated to be a plain token (it can never name a file
-        outside the store directory), but the payload is deliberately *not*
-        re-decoded -- the read path validates on every :meth:`get`, so a
-        bad payload becomes a corrupt-record miss, exactly like a
-        truncated file.
-        """
-        key = record_key(record)
-        path = self._root / f"{key}{RECORD_SUFFIX}"
-        staging = path.with_name(f".{path.stem}.{os.getpid()}.{next(_STAGING_IDS)}.tmp")
-        try:
-            staging.write_text(
-                json.dumps(record, separators=(",", ":")) + "\n", encoding="utf-8"
-            )
-            os.replace(staging, path)
-        except BaseException:
-            staging.unlink(missing_ok=True)
-            raise
-        self._count(puts=1)
-        return path
-
-    def put_records(self, records: "list[dict] | tuple[dict, ...]") -> tuple[Path, ...]:
-        """Persist a batch of records; returns their paths in input order.
-
-        The bulk form the engine's buffered flush and the campaign
-        service's batched upload endpoint write through.  On this
-        directory backend each record is still one atomic file replace
-        (there is no cheaper multi-file primitive), so batching here only
-        saves call overhead -- the packed backend is where ``put_records``
-        turns a batch into a single segment append and one index
-        transaction.
-        """
-        return tuple(self.put_record(record) for record in records)
-
-    # ------------------------------------------------------------------
-    # Maintenance
-    # ------------------------------------------------------------------
-    def scan(self) -> tuple[StoreEntry, ...]:
-        """List every readable record, sorted by key.
-
-        Unreadable or malformed record files are skipped (and counted as
-        ``corrupt`` in :meth:`info`); scanning never raises on a dirty
-        directory.
-        """
-        entries: list[StoreEntry] = []
-        for path in self._record_paths():
-            try:
-                record = json.loads(path.read_text(encoding="utf-8"))
-                entries.append(entry_from_record(record, path, path.stat().st_size))
-            except (OSError, json.JSONDecodeError, KeyError, ValueError, ReproError):
-                self._count(corrupt=1)
-        return tuple(sorted(entries, key=lambda entry: entry.key))
-
-    def records(self) -> "Iterator[tuple[StoreEntry, TwoStepResult]]":
-        """Yield every readable ``(entry, result)`` pair, sorted by key.
-
-        The bulk read the analysis layer (:mod:`repro.analysis`) scans a
-        store with: one pass over the record files parses each file once
-        and yields both the :class:`StoreEntry` metadata and the decoded
-        :class:`~repro.optimize.result.TwoStepResult` payload.  Records
-        that fail to parse or decode are skipped and counted as
-        ``corrupt``, exactly like :meth:`scan`; no record digest
-        re-verification happens here (the scenario that wrote the record
-        is not being rebuilt), so a renamed record file still yields its
-        payload.
-        """
-        for path in self._record_paths():
-            try:
-                record = json.loads(path.read_text(encoding="utf-8"))
-                entry = entry_from_record(record, path, path.stat().st_size)
-                result = decode_record(record)
-            except (OSError, json.JSONDecodeError, KeyError, ReproError, TypeError, ValueError):
-                self._count(corrupt=1)
-                continue
-            yield entry, result
-
-    def reindex_columns(self) -> int:
-        """(Re)build the ``analysis.cols`` columnar snapshot; returns its rows.
-
-        The directory backend has no write-path hook for the sidecar (each
-        ``put`` is an independent atomic file replace), so its sidecar is
-        an explicit snapshot: valid only while the record file set stays
-        exactly as recorded, invalidated by any write or evict.  See
-        :mod:`repro.store.columns`.
-        """
-        from repro.store.columns import rebuild_dir_sidecar
-
-        return rebuild_dir_sidecar(self)
-
-    def evict(self, keys: "Iterator[str] | list[str] | tuple[str, ...] | None" = None) -> int:
-        """Delete records; returns how many files were removed.
-
-        ``keys=None`` empties the store; otherwise only the named digests
-        are removed.  Missing keys are ignored (another process may have
-        evicted them first), and so are keys that do not name a plain
-        record file inside the store directory (path separators, ``..``) --
-        evict can only ever delete the store's own records.
-        """
-        if keys is None:
-            targets = list(self._record_paths())
-        else:
-            targets = []
-            for key in keys:
-                candidate = self._root / f"{key}{RECORD_SUFFIX}"
-                if candidate.parent == self._root:
-                    targets.append(candidate)
-        removed = 0
-        for path in targets:
-            try:
-                path.unlink()
-                removed += 1
-            except FileNotFoundError:
-                continue
-            except OSError:
-                continue
-        return removed
-
-    def _count(self, hits: int = 0, misses: int = 0, puts: int = 0, corrupt: int = 0) -> None:
-        with self._lock:
-            self._hits += hits
-            self._misses += misses
-            self._puts += puts
-            self._corrupt += corrupt
+    def put_records(self, records: Iterable[dict]) -> None:
+        """Refuse to write: the legacy layout is read-only."""
+        raise ConfigurationError(
+            f"{self.root} is a legacy directory store and read-only; "
+            "run 'repro store migrate' to convert it to the packed format"
+        )

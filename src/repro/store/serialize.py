@@ -1,7 +1,7 @@
 """JSON codec for optimisation results (frozen dataclasses in, JSON out).
 
-The persistent :class:`~repro.store.result_store.ResultStore` keeps one JSON
-record per solved scenario.  The record payload is the full
+The persistent :class:`~repro.store.packed.PackedResultStore` keeps one
+JSON record per solved scenario.  The record payload is the full
 :class:`~repro.optimize.result.TwoStepResult` graph -- nested frozen
 dataclasses (architectures, channel groups, modules, wrappers, scenarios)
 plus tuples and one enum.  This module converts that graph to and from

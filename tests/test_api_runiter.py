@@ -19,6 +19,7 @@ from repro.bench.runner import sweep_digest
 from repro.core.exceptions import ConfigurationError
 from repro.core.units import kilo_vectors
 from repro.soc.builder import SocBuilder
+from repro.store import PackedResultStore
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +116,12 @@ class TestRunIter:
         assert list(Engine().run_iter([])) == []
 
 
+def _records_persisted(root) -> int:
+    """Records a freshly opened second reader of the store finds."""
+    with PackedResultStore(root) as store:
+        return len(store)
+
+
 class TestResume:
     def test_interrupted_sweep_resumes_from_store(self, tmp_path, grid):
         # Consume only half the stream, like a killed process: every
@@ -125,7 +132,7 @@ class TestResume:
             consumed.append(record)
             if len(consumed) == 2:
                 break
-        assert len(list(tmp_path.glob("*.json"))) == 2
+        assert _records_persisted(tmp_path) == 2
 
         # The rerun serves the finished half from the store and computes
         # only the rest.
@@ -144,7 +151,7 @@ class TestResume:
         engine = Engine(store=tmp_path)
         on_disk = []
         for record in engine.run_iter(grid):
-            on_disk.append(len(list(tmp_path.glob("*.json"))))
+            on_disk.append(_records_persisted(tmp_path))
         assert on_disk == [1, 2, 3, 4]
 
     def test_store_hits_yield_before_any_compute(self, tmp_path, grid):

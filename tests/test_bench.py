@@ -17,15 +17,15 @@ from repro.bench import (
 from repro.cli import main
 from repro.core.exceptions import ConfigurationError
 from repro.solvers.registry import solver_names
-from repro.store import ResultStore
+from repro.store import PackedResultStore
 
 
 @pytest.fixture(scope="module")
 def smoke_reports(tmp_path_factory):
     """One cold and one warm smoke bench against a shared store."""
     store_dir = tmp_path_factory.mktemp("bench-store")
-    cold = run_bench(tag="cold", store=ResultStore(store_dir), smoke=True)
-    warm = run_bench(tag="warm", store=ResultStore(store_dir), smoke=True)
+    cold = run_bench(tag="cold", store=PackedResultStore(store_dir), smoke=True)
+    warm = run_bench(tag="warm", store=PackedResultStore(store_dir), smoke=True)
     return cold, warm
 
 
@@ -110,7 +110,7 @@ class TestWarmStore:
 
 class TestReportFile:
     def test_write_report_names_file_after_tag(self, tmp_path):
-        report = run_bench(tag="unit", store=ResultStore(tmp_path / "s"), smoke=True)
+        report = run_bench(tag="unit", store=PackedResultStore(tmp_path / "s"), smoke=True)
         path = write_report(report, tmp_path)
         assert path.name == report_filename(report) == "BENCH_unit.json"
         assert json.loads(path.read_text())["tag"] == "unit"

@@ -283,10 +283,20 @@ class TestStoreInfoCommand:
         assert int(bytes_line.split()[1]) > 0
 
     def test_empty_store_reports_zero(self, tmp_path, capsys):
+        (tmp_path / "fresh").mkdir()
         assert main(["store", "info", "--store", str(tmp_path / "fresh")]) == 0
         out = capsys.readouterr().out
         assert "records: 0" in out
         assert "bytes: 0" in out
+
+    @pytest.mark.parametrize(
+        "command", [["info"], ["compact"], ["reindex"], ["reindex", "--columns"]]
+    )
+    def test_missing_store_is_an_error_and_creates_nothing(self, tmp_path, capsys, command):
+        missing = tmp_path / "no" / "such" / "dir"
+        assert main(["store", *command, "--store", str(missing)]) == 1
+        assert "not a store directory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestAnalyzeCommand:

@@ -29,7 +29,7 @@ from repro.optimize.step2 import run_step2
 from repro.solvers import evaluate as evaluate_kernel
 from repro.solvers.problem import TestInfraProblem, make_problem
 from repro.solvers.registry import solve
-from repro.store.result_store import ResultStore
+from repro.store.packed import PackedResultStore
 
 BUILTIN_OBJECTIVES = ("channel_budget", "cost_per_good_die", "test_time", "throughput")
 
@@ -266,7 +266,7 @@ class TestEngineAndStore:
         assert engine.cache_info().hits == 1
 
     def test_store_roundtrip_per_objective(self, cell, tmp_path, outcomes):
-        store = ResultStore(tmp_path)
+        store = PackedResultStore(tmp_path)
         scenario = Scenario(soc="d695", test_cell=cell, objective="test_time")
         store.put(scenario, outcomes["test_time"].result)
         assert store.get(scenario) == outcomes["test_time"].result
@@ -274,7 +274,7 @@ class TestEngineAndStore:
         assert store.get(Scenario(soc="d695", test_cell=cell)) is None
 
     def test_store_entry_records_objective(self, cell, tmp_path, outcomes):
-        store = ResultStore(tmp_path)
+        store = PackedResultStore(tmp_path)
         store.put(
             Scenario(soc="d695", test_cell=cell, objective="test_time"),
             outcomes["test_time"].result,
@@ -283,16 +283,15 @@ class TestEngineAndStore:
         assert entry.objective == "test_time"
 
     def test_store_entry_defaults_objective_for_old_records(self, cell, tmp_path, outcomes):
-        import json
+        from repro.store import make_record
 
-        store = ResultStore(tmp_path)
-        path = store.put(
+        store = PackedResultStore(tmp_path)
+        record = make_record(
             Scenario(soc="d695", test_cell=cell), outcomes["throughput"].result
         )
         # Strip the objective key, simulating a record written before PR 5.
-        record = json.loads(path.read_text(encoding="utf-8"))
         del record["scenario"]["objective"]
-        path.write_text(json.dumps(record), encoding="utf-8")
+        store.put_record(record)
         (entry,) = store.scan()
         assert entry.objective == DEFAULT_OBJECTIVE
 

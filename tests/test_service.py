@@ -43,7 +43,7 @@ from repro.service import (
     scenario_to_wire,
     start_server,
 )
-from repro.store import ResultStore, make_record
+from repro.store import make_record
 
 #: The small synthetic operating point every service test sweeps: two tiny
 #: catalog SOCs at two channel widths, one depth -- four scenarios that
@@ -572,7 +572,7 @@ class TestDistributedE2E:
 
         # The store the service filled is a plain result store: a local
         # engine over the same grid is all store hits, zero computes.
-        engine = Engine(store=ResultStore(store))
+        engine = Engine(store=store)
         engine.run_batch(list(E2E_SPEC.build_grid()))
         info = engine.cache_info()
         assert (info.misses, info.store_hits) == (0, 3)

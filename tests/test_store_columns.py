@@ -22,7 +22,7 @@ from repro.core.exceptions import ConfigurationError
 from repro.store import columns
 from repro.store.factory import migrate_store, open_store
 from repro.store.packed import PackedResultStore
-from repro.store.result_store import ResultStore, make_record, record_lower_bound
+from repro.store.result_store import RECORD_SUFFIX, make_record, record_lower_bound
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +44,15 @@ def _packed(tmp_path, records):
     store = PackedResultStore(tmp_path / "packed")
     store.put_records(records)
     return store
+
+
+def _legacy(tmp_path, records):
+    """A legacy directory store: one ``<key>.json`` file per record."""
+    root = tmp_path / "legacy"
+    root.mkdir()
+    for record in records:
+        (root / f"{record['key']}{RECORD_SUFFIX}").write_text(json.dumps(record))
+    return root
 
 
 def _sidecars(store):
@@ -203,10 +212,8 @@ class TestReindexAndCompact:
         _assert_paths_identical(store)
 
     def test_migrated_store_has_sidecars_and_parity(self, tmp_path, records):
-        legacy_dir = tmp_path / "legacy"
-        legacy = ResultStore(legacy_dir)
-        legacy.put_records(records)
-        reference = records_from_store(legacy, columns=False)
+        reference = records_from_store(_packed(tmp_path, records), columns=False)
+        legacy_dir = _legacy(tmp_path, records)
         report = migrate_store(legacy_dir)
         assert report.migrated == len(records)
         packed = open_store(legacy_dir)
@@ -214,29 +221,6 @@ class TestReindexAndCompact:
         assert _sidecars(packed)
         assert records_from_store(packed) == reference
         _assert_paths_identical(packed)
-
-
-class TestDirectoryBackend:
-    def test_reindex_builds_snapshot_used_by_analysis(self, tmp_path, records):
-        store = ResultStore(tmp_path / "plain")
-        store.put_records(records)
-        assert columns.read_dir_sidecar(store) is None  # no snapshot yet
-        reference = records_from_store(store, columns=False)
-        assert store.reindex_columns() == len(records)
-        rows = columns.read_dir_sidecar(store)
-        assert rows is not None and len(rows) == len(records)
-        assert records_from_store(store) == reference
-
-    def test_any_file_change_invalidates_snapshot(self, tmp_path, records):
-        store = ResultStore(tmp_path / "plain")
-        store.put_records(records[:3])
-        store.reindex_columns()
-        assert columns.read_dir_sidecar(store) is not None
-        store.put_records([records[3]])  # snapshot no longer matches the glob
-        assert columns.read_dir_sidecar(store) is None
-        loaded = records_from_store(store)  # falls back, sees all 4
-        assert loaded == records_from_store(store, columns=False)
-        assert len(loaded) == 4
 
 
 class TestParallelScan:
@@ -297,23 +281,21 @@ class TestLowerBoundPersistence:
 
 
 class TestCli:
-    def test_store_reindex_columns_both_backends(self, tmp_path, records, capsys):
+    def test_store_reindex_columns(self, tmp_path, records, capsys):
         from repro.cli import main
 
-        plain = ResultStore(tmp_path / "plain")
-        plain.put_records(records)
-        assert main(["store", "reindex", "--store", str(plain.root), "--columns"]) == 0
-        assert f"rebuilt columnar sidecars: {len(records)} row(s)" in capsys.readouterr().out
+        legacy_dir = _legacy(tmp_path, records)
+        assert main(["store", "reindex", "--store", str(legacy_dir), "--columns"]) != 0
+        assert "store migrate" in capsys.readouterr().err
         packed = _packed(tmp_path, records)
         assert main(["store", "reindex", "--store", str(packed.root), "--columns"]) == 0
-        assert "rebuilt columnar sidecars" in capsys.readouterr().out
+        assert f"rebuilt columnar sidecars: {len(records)} row(s)" in capsys.readouterr().out
 
     def test_store_reindex_without_columns_needs_packed(self, tmp_path, records, capsys):
         from repro.cli import main
 
-        plain = ResultStore(tmp_path / "plain")
-        plain.put_records(records)
-        assert main(["store", "reindex", "--store", str(plain.root)]) != 0
+        legacy_dir = _legacy(tmp_path, records)
+        assert main(["store", "reindex", "--store", str(legacy_dir)]) != 0
         assert "packed" in capsys.readouterr().err
         packed = _packed(tmp_path, records)
         assert main(["store", "reindex", "--store", str(packed.root)]) == 0

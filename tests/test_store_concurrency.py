@@ -1,8 +1,7 @@
 """Concurrency stress tests: multiple processes writing one store.
 
-Both backends claim to be safe under concurrent multi-process writers --
-the directory backend through atomic ``os.replace`` renames, the packed
-backend through one-segment-per-writer plus SQLite's own locking.  These
+The store claims to be safe under concurrent multi-process writers,
+through one segment file per writer plus SQLite's own locking.  These
 tests put that claim under real process concurrency:
 
 * **different digests**: two processes bulk-write disjoint key ranges;
@@ -19,16 +18,13 @@ store instances), not threads, so file-system and SQLite cross-process
 behaviour is actually exercised.
 """
 
-import json
 import os
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
-import pytest
-
-from repro.store import PackedResultStore, ResultStore
+from repro.store import PackedResultStore
 
 #: Records each writer process writes in the stress runs.
 RECORDS_PER_WRITER = 300
@@ -36,10 +32,10 @@ RECORDS_PER_WRITER = 300
 _WRITER_SCRIPT = textwrap.dedent(
     """
     import json, sys
-    from repro.store import PackedResultStore, ResultStore
+    from repro.store import PackedResultStore
 
-    backend, root, start, count, salt = sys.argv[1:6]
-    store = (PackedResultStore if backend == "packed" else ResultStore)(root)
+    root, start, count, salt = sys.argv[1:5]
+    store = PackedResultStore(root)
     for index in range(int(start), int(start) + int(count)):
         record = {
             "format": 1,
@@ -56,10 +52,10 @@ _WRITER_SCRIPT = textwrap.dedent(
 _READER_SCRIPT = textwrap.dedent(
     """
     import sys
-    from repro.store import PackedResultStore, ResultStore
+    from repro.store import PackedResultStore
 
-    backend, root, top, rounds = sys.argv[1:5]
-    store = (PackedResultStore if backend == "packed" else ResultStore)(root)
+    root, top, rounds = sys.argv[1:4]
+    store = PackedResultStore(root)
     seen = 0
     for _ in range(int(rounds)):
         for index in range(int(top)):
@@ -89,73 +85,64 @@ def _run_all(processes: list[subprocess.Popen]) -> None:
         assert process.returncode == 0, f"writer failed:\n{err}"
 
 
-@pytest.mark.parametrize("backend", ["dir", "packed"])
 class TestConcurrentWriters:
-    def _open(self, backend: str, root: Path):
-        return (PackedResultStore if backend == "packed" else ResultStore)(root)
-
-    def test_disjoint_keys_no_lost_updates(self, backend, tmp_path):
+    def test_disjoint_keys_no_lost_updates(self, tmp_path):
         root = tmp_path / "store"
-        self._open(backend, root).put_record(
+        PackedResultStore(root).put_record(
             {"format": 1, "key": "f" * 64, "result": {"seed": True}}
         )  # initialise the layout before the writers race
         writers = [
-            _spawn(_WRITER_SCRIPT, backend, str(root),
+            _spawn(_WRITER_SCRIPT, str(root),
                    str(index * RECORDS_PER_WRITER), str(RECORDS_PER_WRITER),
                    f"writer{index}")
             for index in range(2)
         ]
         _run_all(writers)
-        store = self._open(backend, root)
+        store = PackedResultStore(root)
         expected = {f"{index:064x}" for index in range(2 * RECORDS_PER_WRITER)}
         assert store.missing_keys(sorted(expected)) == ()
         # Every record is complete and parseable, not just present.
         entries = store.scan()
         assert expected <= {entry.key for entry in entries}
 
-    def test_same_keys_one_complete_winner(self, backend, tmp_path):
+    def test_same_keys_one_complete_winner(self, tmp_path):
         root = tmp_path / "store"
-        self._open(backend, root).put_record(
+        PackedResultStore(root).put_record(
             {"format": 1, "key": "f" * 64, "result": {"seed": True}}
         )
         writers = [
-            _spawn(_WRITER_SCRIPT, backend, str(root), "0",
+            _spawn(_WRITER_SCRIPT, str(root), "0",
                    str(RECORDS_PER_WRITER), f"writer{index}")
             for index in range(2)
         ]
         _run_all(writers)
-        store = self._open(backend, root)
+        store = PackedResultStore(root)
         expected = {f"{index:064x}" for index in range(RECORDS_PER_WRITER)}
         assert store.missing_keys(sorted(expected)) == ()
-        if backend == "dir":
-            # Each record file must be one complete JSON document written
-            # by exactly one of the racing writers -- torn writes would
-            # fail to parse or mix the two salts.
-            for index in range(RECORDS_PER_WRITER):
-                record = json.loads((root / f"{index:064x}.json").read_text())
-                assert record["result"]["writer"] in ("writer0", "writer1")
-                assert record["result"]["index"] == index
-        else:
-            seen = 0
-            for key, segment, offset, length in store._index_rows():
-                if key == "f" * 64:
-                    continue
-                record = store._read_row(key, segment, offset, length)
-                assert record["result"]["writer"] in ("writer0", "writer1")
-                seen += 1
-            assert seen == RECORDS_PER_WRITER
+        # Each indexed line must be one complete JSON record written by
+        # exactly one of the racing writers -- torn writes would fail to
+        # parse or mix the two salts.
+        seen = 0
+        for key, segment, offset, length in store._index_rows():
+            if key == "f" * 64:
+                continue
+            record = store._read_row(key, segment, offset, length)
+            assert record["result"]["writer"] in ("writer0", "writer1")
+            assert f'{record["result"]["index"]:064x}' == key
+            seen += 1
+        assert seen == RECORDS_PER_WRITER
 
-    def test_writer_reader_race_never_errors(self, backend, tmp_path):
+    def test_writer_reader_race_never_errors(self, tmp_path):
         root = tmp_path / "store"
-        self._open(backend, root).put_record(
+        PackedResultStore(root).put_record(
             {"format": 1, "key": "f" * 64, "result": {"seed": True}}
         )
-        writer = _spawn(_WRITER_SCRIPT, backend, str(root), "0",
+        writer = _spawn(_WRITER_SCRIPT, str(root), "0",
                         str(RECORDS_PER_WRITER), "writer0")
-        reader = _spawn(_READER_SCRIPT, backend, str(root),
+        reader = _spawn(_READER_SCRIPT, str(root),
                         str(RECORDS_PER_WRITER), "10")
         _run_all([writer, reader])
-        store = self._open(backend, root)
+        store = PackedResultStore(root)
         assert store.missing_keys(
             [f"{index:064x}" for index in range(RECORDS_PER_WRITER)]
         ) == ()

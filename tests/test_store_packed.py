@@ -13,12 +13,13 @@ from repro.core.units import kilo_vectors
 from repro.store import (
     PACKED_MANIFEST,
     PackedResultStore,
-    ResultStore,
     is_packed,
     make_record,
     migrate_store,
     open_store,
 )
+from repro.store.packed import INDEX_FILE
+from repro.store.result_store import RECORD_SUFFIX, ResultStore
 from repro.store.serialize import encode_result
 
 
@@ -44,6 +45,15 @@ def solved():
         scenario = Scenario(soc=soc, test_cell=cell)
         outcomes.append((scenario, engine.run(scenario).result))
     return outcomes
+
+
+def write_legacy(root, solved):
+    """A legacy directory store: one ``<key>.json`` record file per scenario."""
+    root.mkdir(parents=True, exist_ok=True)
+    for scenario, result in solved:
+        record = make_record(scenario, result)
+        (root / f"{record['key']}{RECORD_SUFFIX}").write_text(json.dumps(record))
+    return root
 
 
 class TestPackedRoundTrip:
@@ -86,11 +96,11 @@ class TestPackedRoundTrip:
         assert [entry.key for entry, _ in store.records()] == keys
 
     def test_rejects_legacy_directory(self, tmp_path, solved):
-        legacy = ResultStore(tmp_path / "legacy")
-        scenario, result = solved[0]
-        legacy.put(scenario, result)
+        legacy = write_legacy(tmp_path / "legacy", solved[:1])
+        before = sorted(legacy.iterdir())
         with pytest.raises(ConfigurationError, match="store migrate"):
-            PackedResultStore(tmp_path / "legacy")
+            PackedResultStore(legacy)
+        assert sorted(legacy.iterdir()) == before  # nothing created
 
     def test_rejects_path_escaping_record_key(self, tmp_path):
         store = PackedResultStore(tmp_path / "packed")
@@ -128,10 +138,7 @@ class TestPackedRoundTrip:
 
 class TestMigration:
     def fill_legacy(self, root, solved):
-        legacy = ResultStore(root)
-        for scenario, result in solved:
-            legacy.put(scenario, result)
-        return legacy
+        return write_legacy(root, solved)
 
     def test_in_place_migration_preserves_everything(self, tmp_path, solved):
         root = tmp_path / "store"
@@ -177,10 +184,13 @@ class TestMigration:
             migrate_store(root)
 
     def test_analyze_is_byte_identical_across_migration(self, tmp_path, solved, capsys):
+        direct = PackedResultStore(tmp_path / "direct")
+        for scenario, result in solved:
+            direct.put(scenario, result)
+        assert main(["analyze", "--store", str(direct.root)]) == 0
+        before = capsys.readouterr().out
         root = tmp_path / "store"
         self.fill_legacy(root, solved)
-        assert main(["analyze", "--store", str(root)]) == 0
-        before = capsys.readouterr().out
         migrate_store(root)
         assert main(["analyze", "--store", str(root)]) == 0
         after = capsys.readouterr().out
@@ -200,29 +210,76 @@ class TestMigration:
 
 class TestOpenStore:
     def test_detects_backends(self, tmp_path, solved):
-        legacy_root = tmp_path / "legacy"
+        """Packed layouts open; legacy layouts are detected and refused."""
         scenario, result = solved[0]
-        ResultStore(legacy_root).put(scenario, result)
-        assert isinstance(open_store(legacy_root), ResultStore)
         packed_root = tmp_path / "packed"
         PackedResultStore(packed_root).put(scenario, result)
-        assert isinstance(open_store(packed_root), PackedResultStore)
+        reopened = open_store(packed_root)
+        assert isinstance(reopened, PackedResultStore)
+        assert reopened.get(scenario) == result
+        legacy_root = write_legacy(tmp_path / "legacy", solved[:1])
+        with pytest.raises(ConfigurationError, match="store migrate"):
+            open_store(legacy_root)
+
+    @pytest.mark.parametrize("fresh", ["missing", "empty"])
+    def test_fresh_directory_opens_packed(self, tmp_path, fresh):
+        root = tmp_path / "store"
+        if fresh == "empty":
+            root.mkdir()
+        store = open_store(root)
+        assert isinstance(store, PackedResultStore)
+        assert is_packed(root)
+        assert len(store) == 0
+
+    def test_engine_refuses_legacy_directory(self, tmp_path, solved):
+        legacy_root = write_legacy(tmp_path / "legacy", solved)
+        with pytest.raises(ConfigurationError, match="store migrate"):
+            Engine(store=legacy_root)
+        assert not is_packed(legacy_root)
 
     def test_passes_instances_through(self, tmp_path):
-        legacy = ResultStore(tmp_path / "legacy")
         packed = PackedResultStore(tmp_path / "packed")
-        assert open_store(legacy) is legacy
         assert open_store(packed) is packed
+        with pytest.raises(ConfigurationError, match="directory path"):
+            open_store(ResultStore(tmp_path / "legacy"))
 
     def test_missing_keys_parity_between_backends(self, tmp_path, solved):
+        """The packed store and the read-only legacy view answer alike."""
         scenario, result = solved[0]
         absent = "f" * 64
-        for root, cls in ((tmp_path / "legacy", ResultStore), (tmp_path / "packed", PackedResultStore)):
-            store = cls(root)
-            store.put(scenario, result)
+        packed = PackedResultStore(tmp_path / "packed")
+        packed.put(scenario, result)
+        legacy = ResultStore(write_legacy(tmp_path / "legacy", solved[:1]))
+        for store in (legacy, packed):
             assert store.contains_key(scenario.digest)
             assert not store.contains_key(absent)
             assert store.missing_keys([scenario.digest, absent, absent]) == (absent,)
+            assert store.get(scenario) == result
+
+    def test_legacy_view_is_read_only(self, tmp_path, solved):
+        root = write_legacy(tmp_path / "legacy", solved)
+        legacy = ResultStore(root)
+        assert [path.stem for path in legacy.record_files()] == sorted(
+            scenario.digest for scenario, _ in solved
+        )
+        assert not legacy.contains_key("../legacy")
+        with pytest.raises(ConfigurationError, match="store migrate"):
+            legacy.put_records([make_record(*solved[0])])
+        assert ResultStore(tmp_path / "no-such-dir").record_files() == []
+        assert not (tmp_path / "no-such-dir").exists()
+
+
+class TestWriteAheadLog:
+    def test_wal_stays_bounded_without_close(self, tmp_path, solved):
+        """A long-lived writer that never closes keeps a small WAL file."""
+        scenario, result = solved[0]
+        template = make_record(scenario, result)
+        store = PackedResultStore(tmp_path / "packed")
+        for index in range(300):
+            store.put_records([dict(template, key=f"{index:064x}")])
+        assert len(store) == 300
+        wal = tmp_path / "packed" / f"{INDEX_FILE}-wal"
+        assert wal.stat().st_size < 512 * 1024
 
 
 class TestPackedScale:
@@ -302,10 +359,7 @@ class TestStoreCli:
         assert "orphaned: 1" in capsys.readouterr().out
 
     def test_store_migrate_and_compact_cli(self, tmp_path, solved, capsys):
-        root = tmp_path / "store"
-        legacy = ResultStore(root)
-        for scenario, result in solved:
-            legacy.put(scenario, result)
+        root = write_legacy(tmp_path / "store", solved)
         assert main(["store", "migrate", "--store", str(root)]) == 0
         out = capsys.readouterr().out
         assert f"migrated {root} in place: {len(solved)} record(s)" in out
@@ -313,9 +367,7 @@ class TestStoreCli:
         assert "compacted:" in capsys.readouterr().out
 
     def test_store_compact_rejects_legacy_store(self, tmp_path, solved, capsys):
-        root = tmp_path / "store"
-        scenario, result = solved[0]
-        ResultStore(root).put(scenario, result)
+        root = write_legacy(tmp_path / "store", solved[:1])
         assert main(["store", "compact", "--store", str(root)]) == 1
         assert "not a packed store" in capsys.readouterr().err
 
