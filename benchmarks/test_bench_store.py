@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import time
 
-from repro.api.engine import Engine
+from repro.api.engine import Engine, results_digest
 from repro.bench.runner import (
     bench_sweep_grid,
     clear_computation_caches,
-    results_digest,
     synthetic_sweep_grid,
 )
 from repro.store.packed import PackedResultStore

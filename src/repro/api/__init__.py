@@ -35,6 +35,8 @@ from repro.api.engine import (
     ScenarioResult,
     batch_throughput_series,
     optimize_scenario,
+    results_digest,
+    sweep_digest,
 )
 from repro.api.grid import FilteredGrid, Grid, GridShard, GridUnion, SweepGrid
 from repro.api.plan import PlanChunk, SweepPlan, auto_chunk_size, structure_key
@@ -59,5 +61,7 @@ __all__ = [
     "optimize_scenario",
     "reference_test_cell",
     "resolve_soc",
+    "results_digest",
     "structure_key",
+    "sweep_digest",
 ]

@@ -34,6 +34,7 @@ directly into the flat structures of :mod:`repro.reporting.export` and the
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from collections import OrderedDict
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
@@ -132,6 +133,39 @@ class ScenarioResult:
     def describe(self) -> str:
         """One-line summary used by reports and logs."""
         return f"{self.scenario.describe()} -> {self.result.describe().splitlines()[0]}"
+
+
+def results_digest(results: Sequence[ScenarioResult]) -> str:
+    """SHA-256 digest over the exact values of a batch of results.
+
+    Covers every evaluated site point (``repr`` of the float objective, so
+    the digest only matches on bit-identical numbers) plus the optimum, in
+    scenario order.  Used to prove warm (store-served) runs reproduce cold
+    runs exactly.
+    """
+    digest = hashlib.sha256()
+    for outcome in results:
+        digest.update(outcome.scenario.key.encode("utf-8"))
+        for point in outcome.result.points:
+            digest.update(
+                f"{point.sites},{point.channels_per_site},{point.throughput!r};".encode("utf-8")
+            )
+        digest.update(
+            f"opt={outcome.optimal_sites},{outcome.optimal_throughput!r}\n".encode("utf-8")
+        )
+    return digest.hexdigest()
+
+
+def sweep_digest(results: Sequence[ScenarioResult]) -> str:
+    """Order-insensitive digest over a sweep's exact result values.
+
+    Sorts by scenario digest before hashing, so two runs over the same
+    grid that finished in different orders (streaming yields in
+    completion order; shards interleave) still compare equal exactly when
+    their results are bit-identical.  This is the digest `repro sweep`
+    prints and campaign servers report.
+    """
+    return results_digest(sorted(results, key=lambda record: record.scenario.digest))
 
 
 def _execute(scenario: Scenario) -> TwoStepResult:

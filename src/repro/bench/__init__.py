@@ -2,16 +2,18 @@
 
 ``python -m repro bench`` (and :func:`~repro.bench.runner.run_bench`) times
 the registered experiments, the registered solver backends, the d695
-design-space sweep and the streaming campaign (cold vs
-interrupted-and-resumed multi-SOC sweep, :mod:`repro.bench.campaign`) --
-optionally against a persistent :class:`~repro.store.PackedResultStore`, so one
-invocation measures the cold path and a rerun against the same directory
-measures the warm (store-hit) path.  The outcome is written as
-``BENCH_<tag>.json``, a machine-readable record that CI uploads as an
-artifact on every push.  :func:`~repro.bench.runner.compare_reports`
-(CLI: ``repro bench --compare PREV.json``) turns two such reports into a
-regression summary; the committed ``BENCH_seed.json`` is the baseline the
-perf trajectory accumulates against.
+design-space sweep, a cold synthetic sweep, chunked vs unchunked pool
+fan-out, the streaming campaign (cold vs interrupted-and-resumed
+multi-SOC sweep, :mod:`repro.bench.campaign`) and the analysis scan
+(full-record decode vs columnar sidecars) -- optionally against a
+persistent :class:`~repro.store.PackedResultStore`, so one invocation
+measures the cold path and a rerun against the same directory measures
+the warm (store-hit) path.  The outcome is written as ``BENCH_<tag>.json``:
+a flat list of rows keyed on ``(workload, params)``, which CI uploads as
+an artifact on every push.  :func:`~repro.bench.runner.compare_reports`
+(CLI: ``repro bench --compare PREV.json``) pairs the rows of two reports
+into a regression summary; the committed ``BENCH_seed.json`` is the
+baseline the perf trajectory accumulates against.
 """
 
 from repro.bench.campaign import campaign_grid, run_campaign
@@ -22,10 +24,8 @@ from repro.bench.runner import (
     default_tag,
     load_report,
     report_filename,
-    results_digest,
     run_bench,
     summarize_report,
-    sweep_digest,
     write_report,
 )
 
@@ -37,10 +37,8 @@ __all__ = [
     "default_tag",
     "load_report",
     "report_filename",
-    "results_digest",
     "run_bench",
     "run_campaign",
     "summarize_report",
-    "sweep_digest",
     "write_report",
 ]

@@ -3,33 +3,33 @@
 :func:`run_campaign` measures the property the grid/``run_iter``/store
 stack exists for -- that a killed campaign costs only its unfinished
 scenarios.  Over a multi-SOC grid (a :func:`~repro.soc.catalog.
-synthetic_family` sized by ``smoke``) it times three runs:
+synthetic_family` sized by ``smoke``) it times three runs, one bench row
+each:
 
-1. **cold** -- a fresh store-backed engine streams the full grid;
-2. **interrupted** -- a second fresh store consumes only part of the
-   stream and abandons the rest, exactly like a killed process (each
+1. ``campaign cold`` -- a fresh store-backed engine streams the full grid;
+2. ``campaign interrupted`` -- a second fresh store consumes only part of
+   the stream and abandons the rest, exactly like a killed process (each
    finished scenario is already on disk at that point);
-3. **resume** -- a new engine over the interrupted store streams the full
-   grid again: the finished part is served from disk, only the remainder
-   computes.
+3. ``campaign resume`` -- a new engine over the interrupted store streams
+   the full grid again: the finished part is served from disk, only the
+   remainder computes.
 
 The resumed run must produce the same order-insensitive result digest as
-the cold run (bit-identical values) and recompute only the abandoned
-scenarios (asserted via the engine's store-hit count); because it skips
-the finished majority it is several times faster than the cold run --
-``benchmarks/test_bench_campaign.py`` pins the >= 2x floor.
+the cold run (bit-identical values; checked in the run) and recompute
+only the abandoned scenarios (the resume row's engine counters); because
+it skips the finished majority it is several times faster than the cold
+run -- ``benchmarks/test_bench_campaign.py`` pins the >= 2x floor.
 """
 
 from __future__ import annotations
 
-import time
 from pathlib import Path
 from typing import Any
 
-from repro.api.engine import Engine
+from repro.api.engine import Engine, sweep_digest
 from repro.api.grid import SweepGrid
 from repro.api.testcell import reference_test_cell
-from repro.bench.runner import sweep_digest
+from repro.bench.runner import check_parity, timed_row
 from repro.core.exceptions import ConfigurationError
 from repro.core.units import mega_vectors
 from repro.soc.catalog import synthetic_family
@@ -61,24 +61,28 @@ def campaign_grid(smoke: bool = False) -> SweepGrid:
     )
 
 
-def _stream(engine: Engine, grid: SweepGrid, limit: int | None = None) -> tuple[list, float]:
-    """Consume ``grid`` through ``engine`` (at most ``limit`` results), timed."""
+def _stream(engine: Engine, grid: SweepGrid, limit: int | None = None) -> list:
+    """Consume ``grid`` through ``engine`` (at most ``limit`` results)."""
     results = []
-    started = time.perf_counter()
     for record in engine.run_iter(grid):
         results.append(record)
         if limit is not None and len(results) >= limit:
             break
-    return results, time.perf_counter() - started
+    return results
 
 
 def run_campaign(
     work_dir: str | Path, smoke: bool = False, workers: int | None = None
-) -> dict[str, Any]:
-    """Run the cold / interrupted / resumed campaign; return the JSON record.
+) -> list[dict[str, Any]]:
+    """Run the cold / interrupted / resumed campaign; return its three rows.
 
     ``work_dir`` receives two store directories (``cold/``, ``resume/``);
     the caller owns cleanup (the bench runner uses a temp directory).
+
+    Raises
+    ------
+    ReproError
+        When the resumed run's digest differs from the cold run's.
     """
     work_dir = Path(work_dir)
     grid = campaign_grid(smoke)
@@ -87,34 +91,22 @@ def run_campaign(
     if interrupt_after >= total:
         raise ConfigurationError("campaign grid too small to interrupt")
 
-    # Every engine gets the same worker setting, so the reported speedup
-    # measures resumption alone, not a parallelism difference.
-    cold_engine = Engine(store=work_dir / "cold", workers=workers)
-    cold_results, cold_seconds = _stream(cold_engine, grid)
+    def leg(workload: str, store: str, limit: int | None = None) -> dict[str, Any]:
+        # Every engine gets the same worker setting, so the resume speedup
+        # measures resumption alone, not a parallelism difference.
+        params = {"scenarios": total, "workers": workers}
+        if limit is not None:
+            params["after"] = limit
+        engine = Engine(store=work_dir / store, workers=workers)
+        row, _ = timed_row(
+            workload, params, lambda: _stream(engine, grid, limit), engine, sweep_digest
+        )
+        return row
 
+    cold = leg("campaign cold", "cold")
     # A second cold store, abandoned after `interrupt_after` results --
     # the finished scenarios are on disk, the in-flight rest is lost.
-    interrupted_engine = Engine(store=work_dir / "resume", workers=workers)
-    interrupted_results, interrupted_seconds = _stream(
-        interrupted_engine, grid, limit=interrupt_after
-    )
-
-    resume_engine = Engine(store=work_dir / "resume", workers=workers)
-    resumed_results, resume_seconds = _stream(resume_engine, grid)
-    resume_info = resume_engine.cache_info()
-
-    cold_digest = sweep_digest(cold_results)
-    resumed_digest = sweep_digest(resumed_results)
-    return {
-        "scenarios": total,
-        "interrupted_after": len(interrupted_results),
-        "cold_seconds": cold_seconds,
-        "interrupted_seconds": interrupted_seconds,
-        "resume_seconds": resume_seconds,
-        "resume_store_hits": resume_info.store_hits,
-        "resume_recomputed": resume_info.misses,
-        "speedup": cold_seconds / resume_seconds if resume_seconds > 0 else float("inf"),
-        "cold_digest": cold_digest,
-        "resumed_digest": resumed_digest,
-        "digests_match": cold_digest == resumed_digest,
-    }
+    interrupted = leg("campaign interrupted", "resume", interrupt_after)
+    resume = leg("campaign resume", "resume")
+    check_parity("campaign cold vs resumed digests", cold["digest"], resume["digest"])
+    return [cold, interrupted, resume]

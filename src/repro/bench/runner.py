@@ -1,43 +1,50 @@
 """Benchmark runner: machine-readable timings for the perf trajectory.
 
-:func:`run_bench` times the three workloads that matter for the project's
-performance story and returns one JSON-ready report:
+:func:`run_bench` times seven workloads and returns one JSON-ready report
+whose ``rows`` list holds one row per timed run:
 
-* **experiments** -- every registered experiment
+* ``experiment`` -- every registered experiment
   (:mod:`repro.experiments.registry`), each through its own
   :class:`~repro.api.engine.Engine`;
-* **solvers** -- every registered solver backend
+* ``solver`` -- every registered solver backend
   (:mod:`repro.solvers.registry`) on the reference d695 operating point
   (256 channels x 64 K vectors); backends that cannot handle the workload
-  (e.g. the exhaustive oracle on a 10-module SOC) are recorded as skipped,
-  not as failures;
-* **sweep** -- the d695 design-space sweep (channels x depths x broadcast),
-  the workload the persistent store amortises across runs;
-* **fanout** -- the cold synthetic sweep through the process pool twice at
-  the same worker count, chunked (the :class:`~repro.api.plan.SweepPlan`
-  default) versus unchunked (``chunk_size=1``), in scenarios/second --
-  isolating what the execution planner buys in pickle/IPC amortisation
-  and worker-side kernel-memo locality, digests checked identical;
-* **campaign** -- the streaming multi-SOC campaign
-  (:mod:`repro.bench.campaign`): a cold sweep over a synthetic SOC family
-  versus the same sweep interrupted partway and resumed from its store,
-  recording the resume speedup and digest equality;
-* **analysis** -- loading :class:`~repro.analysis.records.AnalysisRecord`
-  rows from a generated packed store twice: cold full-record decode
-  versus the columnar ``.cols`` sidecar scan
-  (:mod:`repro.store.columns`), in rows/second, with the rendered
-  ``records_table`` digests checked identical.
+  (e.g. the exhaustive oracle on a 10-module SOC) get a ``skipped`` row,
+  not a failure;
+* ``d695 sweep`` -- the d695 design-space sweep (channels x depths x
+  broadcast), the workload the persistent store amortises across runs;
+* ``synthetic sweep`` -- a cold synthetic sweep (caches dropped, no
+  store): the solver and kernel's raw throughput;
+* ``fanout`` -- the cold synthetic sweep through the process pool twice
+  at the same worker count, unchunked (``chunk_size=1``) and planned
+  (:class:`~repro.api.plan.SweepPlan`), isolating what the execution
+  planner buys;
+* ``campaign cold`` / ``campaign interrupted`` / ``campaign resume`` --
+  the streaming multi-SOC campaign (:mod:`repro.bench.campaign`);
+* ``analysis decode`` / ``analysis sidecar`` -- loading
+  :class:`~repro.analysis.records.AnalysisRecord` rows from a generated
+  packed store by full-record decode and by the columnar ``.cols``
+  sidecar scan (:mod:`repro.store.columns`).
 
-Every section records wall-clock seconds plus the engine's
-:class:`~repro.api.engine.CacheInfo`, and the sweep section additionally
-records the delta of the process-wide evaluation-kernel memo
-(:func:`repro.solvers.evaluate.cache_info`) and a SHA-256 digest over the
-exact result values -- two runs that report the same digest produced
-bit-identical results, which is how a warm-store rerun proves it traded
-no correctness for its speedup.
+A row is ``{workload, params, seconds, digest, counters}`` (or
+``{workload, params, skipped}``).  ``params`` holds the inputs that change
+the work a row times -- grid size, objective, workers, fan-out chunk,
+record count -- and never store warmth, so a warm rerun pairs with its
+cold run.  Every row is produced by :func:`timed_row`, which records the
+wall-clock seconds, the engine's :class:`~repro.api.engine.CacheInfo` and
+the delta of the evaluation-kernel counters
+(:func:`repro.solvers.evaluate.cache_info`); ``digest`` is a SHA-256 over
+the exact result values, so two rows with equal digests produced
+bit-identical results.  Legs that must agree within one run (fanout
+chunked vs unchunked, campaign cold vs resumed, analysis decode vs
+sidecar) are checked in the run and raise :class:`ReproError` when they
+do not.
 
-:func:`write_report` emits the report as ``BENCH_<tag>.json``; CI uploads
-these files as artifacts, so every PR leaves a perf data point behind.
+:func:`summarize_report`, :func:`compare_reports` and
+:func:`find_regressions` are one pass each over rows paired on
+``(workload, params)``.  :func:`write_report` emits the report as
+``BENCH_<tag>.json``; CI uploads these files as artifacts, so every PR
+leaves a perf data point behind.
 """
 
 from __future__ import annotations
@@ -49,9 +56,9 @@ import tempfile
 import time
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
-from repro.api.engine import Engine, ScenarioResult
+from repro.api.engine import Engine, results_digest
 from repro.api.plan import AUTO_CHUNK, SweepPlan
 from repro.api.scenario import Scenario
 from repro.api.testcell import reference_test_cell
@@ -64,8 +71,8 @@ from repro.solvers.registry import solver_names
 from repro.store.factory import open_store
 from repro.store.packed import PackedResultStore
 
-#: Version of the report payload layout.
-BENCH_FORMAT = 1
+#: Version of the report payload layout (2: a flat list of keyed rows).
+BENCH_FORMAT = 2
 
 #: Registered experiments timed in ``--smoke`` mode (the fastest one).
 SMOKE_EXPERIMENTS = ("economics",)
@@ -126,39 +133,6 @@ def bench_sweep_grid(
     )
 
 
-def results_digest(results: Sequence[ScenarioResult]) -> str:
-    """SHA-256 digest over the exact values of a batch of results.
-
-    Covers every evaluated site point (``repr`` of the float objective, so
-    the digest only matches on bit-identical numbers) plus the optimum, in
-    scenario order.  Used to prove warm (store-served) runs reproduce cold
-    runs exactly.
-    """
-    digest = hashlib.sha256()
-    for outcome in results:
-        digest.update(outcome.scenario.key.encode("utf-8"))
-        for point in outcome.result.points:
-            digest.update(
-                f"{point.sites},{point.channels_per_site},{point.throughput!r};".encode("utf-8")
-            )
-        digest.update(
-            f"opt={outcome.optimal_sites},{outcome.optimal_throughput!r}\n".encode("utf-8")
-        )
-    return digest.hexdigest()
-
-
-def sweep_digest(results: Sequence[ScenarioResult]) -> str:
-    """Order-insensitive digest over a sweep's exact result values.
-
-    Sorts by scenario digest before hashing, so two runs over the same
-    grid that finished in different orders (streaming yields in
-    completion order; shards interleave) still compare equal exactly when
-    their results are bit-identical.  This is the digest `repro sweep`
-    prints and the campaign benchmark compares.
-    """
-    return results_digest(sorted(results, key=lambda record: record.scenario.digest))
-
-
 def clear_computation_caches() -> None:
     """Drop every process-wide computation cache (kernel memo, wrapper caches).
 
@@ -168,7 +142,7 @@ def clear_computation_caches() -> None:
     tests) call this before timing; persistent stores are untouched --
     store warmth is a property of the directory, not the process.
     The kernel's cumulative counters are kept -- dropping only the memo
-    means the report's per-section counter deltas never go backwards.
+    means the rows' kernel counter deltas never go backwards.
     """
     from repro.wrapper import combine, pareto
 
@@ -177,15 +151,11 @@ def clear_computation_caches() -> None:
     pareto._cached_pareto.cache_clear()
 
 
-def _cache_record(engine: Engine) -> dict[str, Any]:
-    return asdict(engine.cache_info())
-
-
 def _kernel_delta(
     before: "evaluate_kernel.KernelCacheInfo",
     after: "evaluate_kernel.KernelCacheInfo",
 ) -> dict[str, Any]:
-    """Delta of the process-wide evaluation-kernel counters over one section."""
+    """Delta of the process-wide evaluation-kernel counters over one row."""
     return {
         "hits": after.hits - before.hits,
         "misses": after.misses - before.misses,
@@ -195,27 +165,50 @@ def _kernel_delta(
     }
 
 
+def timed_row(
+    workload: str,
+    params: dict[str, Any],
+    run: Callable[[], Any],
+    engine: Engine | None = None,
+    digest: Callable[[Any], str] | None = None,
+) -> tuple[dict[str, Any], Any]:
+    """Time one call of ``run`` and return ``(row, run's value)``.
+
+    The row's counters hold the evaluation-kernel delta over the call and,
+    when ``engine`` is given, its :class:`~repro.api.engine.CacheInfo`
+    afterwards; ``digest`` (applied to the value, outside the timed span)
+    fills the row's digest.
+    """
+    kernel_before = evaluate_kernel.cache_info()
+    started = time.perf_counter()
+    value = run()
+    seconds = time.perf_counter() - started
+    counters = {"kernel": _kernel_delta(kernel_before, evaluate_kernel.cache_info())}
+    if engine is not None:
+        counters["cache"] = asdict(engine.cache_info())
+    row = {"workload": workload, "params": params, "seconds": seconds, "counters": counters}
+    row["digest"] = digest(value) if digest is not None else None
+    return row, value
+
+
+def check_parity(what: str, *legs: Any) -> None:
+    """Raise :class:`ReproError` unless every leg of ``what`` is equal."""
+    if any(leg != legs[0] for leg in legs[1:]):
+        raise ReproError(f"bench parity check failed: {what} differ")
+
+
 def _bench_experiments(
     names: Sequence[str], store: PackedResultStore | None
 ) -> list[dict[str, Any]]:
     """Time each registered experiment through its own (store-backed) engine."""
-    rows: list[dict[str, Any]] = []
+    rows = []
     for name in names:
         experiment = get_experiment(name)
         engine = Engine(store=store)
-        kernel_before = evaluate_kernel.cache_info()
-        started = time.perf_counter()
-        experiment.run(engine)
-        seconds = time.perf_counter() - started
-        rows.append(
-            {
-                "name": name,
-                "title": experiment.title,
-                "seconds": seconds,
-                "cache": _cache_record(engine),
-                "evaluate_kernel": _kernel_delta(kernel_before, evaluate_kernel.cache_info()),
-            }
+        row, _ = timed_row(
+            "experiment", {"name": name}, lambda: experiment.run(engine), engine
         )
+        rows.append(row)
     return rows
 
 
@@ -227,29 +220,24 @@ SA_BENCH_KNOBS = {"temperature": 0.5, "cooling": 0.7, "moves_per_temp": 10}
 def _bench_solvers(store: PackedResultStore | None) -> list[dict[str, Any]]:
     """Time each registered solver backend on the reference d695 point."""
     cell = reference_test_cell(channels=256, depth_m=0.0625)
-    rows: list[dict[str, Any]] = []
+    rows = []
     for name in solver_names():
         scenario = Scenario(soc="d695", test_cell=cell, solver=name)
         if name == "simulated_annealing":
             scenario = scenario.with_solver_options(**SA_BENCH_KNOBS)
         engine = Engine(store=store)
-        kernel_before = evaluate_kernel.cache_info()
-        started = time.perf_counter()
+        params = {"name": name}
         try:
-            outcome = engine.run(scenario)
+            row, _ = timed_row(
+                "solver",
+                params,
+                lambda: engine.run(scenario),
+                engine,
+                digest=lambda outcome: results_digest([outcome]),
+            )
         except ReproError as error:
-            rows.append({"name": name, "skipped": str(error)})
-            continue
-        rows.append(
-            {
-                "name": name,
-                "seconds": time.perf_counter() - started,
-                "optimal_sites": outcome.optimal_sites,
-                "optimal_throughput": outcome.optimal_throughput,
-                "cache": _cache_record(engine),
-                "evaluate_kernel": _kernel_delta(kernel_before, evaluate_kernel.cache_info()),
-            }
-        )
+            row = {"workload": "solver", "params": params, "skipped": str(error)}
+        rows.append(row)
     return rows
 
 
@@ -263,21 +251,17 @@ def _bench_sweep(
 ) -> dict[str, Any]:
     """Time the d695 design-space sweep (the store's showcase workload)."""
     grid = bench_sweep_grid(smoke, objective)
-    kernel_before = evaluate_kernel.cache_info()
     engine = Engine(store=store, workers=workers)
-    started = time.perf_counter()
-    results = engine.run_batch(
-        grid, workers=workers, chunk_size=chunk_size, flush_every=flush_every
+    row, _ = timed_row(
+        "d695 sweep",
+        {"scenarios": len(grid), "objective": objective, "workers": workers},
+        lambda: engine.run_batch(
+            grid, workers=workers, chunk_size=chunk_size, flush_every=flush_every
+        ),
+        engine,
+        results_digest,
     )
-    seconds = time.perf_counter() - started
-    return {
-        "scenarios": len(grid),
-        "objective": objective,
-        "seconds": seconds,
-        "cache": _cache_record(engine),
-        "evaluate_kernel": _kernel_delta(kernel_before, evaluate_kernel.cache_info()),
-        "digest": results_digest(results),
-    }
+    return row
 
 
 def synthetic_sweep_grid(smoke: bool = False) -> list[Scenario]:
@@ -285,24 +269,14 @@ def synthetic_sweep_grid(smoke: bool = False) -> list[Scenario]:
     from repro.core.units import mega_vectors
     from repro.soc.catalog import synthetic_family
 
-    cell = reference_test_cell()
-    if smoke:
-        socs = synthetic_family(
-            SYNTHETIC_SWEEP_SEED, count=SMOKE_SYNTHETIC_SWEEP_SOCS,
-            modules=SYNTHETIC_SWEEP_MODULES,
-        )
-        channels = SMOKE_SYNTHETIC_SWEEP_CHANNELS
-        depths_m = SMOKE_SYNTHETIC_SWEEP_DEPTHS_M
-    else:
-        socs = synthetic_family(
-            SYNTHETIC_SWEEP_SEED, count=SYNTHETIC_SWEEP_SOCS,
-            modules=SYNTHETIC_SWEEP_MODULES,
-        )
-        channels = SYNTHETIC_SWEEP_CHANNELS
-        depths_m = SYNTHETIC_SWEEP_DEPTHS_M
+    smoke_axes = (
+        SMOKE_SYNTHETIC_SWEEP_SOCS, SMOKE_SYNTHETIC_SWEEP_CHANNELS, SMOKE_SYNTHETIC_SWEEP_DEPTHS_M
+    )
+    full_axes = (SYNTHETIC_SWEEP_SOCS, SYNTHETIC_SWEEP_CHANNELS, SYNTHETIC_SWEEP_DEPTHS_M)
+    count, channels, depths_m = smoke_axes if smoke else full_axes
     return Scenario.sweep(
-        socs,
-        cell,
+        synthetic_family(SYNTHETIC_SWEEP_SEED, count=count, modules=SYNTHETIC_SWEEP_MODULES),
+        reference_test_cell(),
         channels=channels,
         depths=[mega_vectors(depth) for depth in depths_m],
         broadcast=[False, True],
@@ -316,27 +290,24 @@ def _bench_synthetic_sweep(
 ) -> dict[str, Any]:
     """Time the synthetic cold sweep (the batch kernel's showcase workload).
 
-    Unlike the d695 sweep this section is always *cold*: the process-wide
+    Unlike the d695 sweep this row is always *cold*: the process-wide
     computation caches are dropped first and no store is attached, so the
     number measures raw solver + kernel throughput, run to run.
     """
     grid = synthetic_sweep_grid(smoke)
     clear_computation_caches()
-    kernel_before = evaluate_kernel.cache_info()
     engine = Engine(workers=workers)
-    started = time.perf_counter()
-    results = engine.run_batch(grid, workers=workers, chunk_size=chunk_size)
-    seconds = time.perf_counter() - started
-    return {
-        "scenarios": len(grid),
-        "seconds": seconds,
-        "cache": _cache_record(engine),
-        "evaluate_kernel": _kernel_delta(kernel_before, evaluate_kernel.cache_info()),
-        "digest": results_digest(results),
-    }
+    row, _ = timed_row(
+        "synthetic sweep",
+        {"scenarios": len(grid), "workers": workers},
+        lambda: engine.run_batch(grid, workers=workers, chunk_size=chunk_size),
+        engine,
+        results_digest,
+    )
+    return row
 
 
-#: Pool size of the ``fanout`` section when ``--workers`` is not given:
+#: Pool size of the ``fanout`` rows when ``--workers`` is not given:
 #: small in smoke mode (CI containers), the tentpole's 4-worker target
 #: otherwise.
 FANOUT_WORKERS = 4
@@ -347,54 +318,44 @@ def _bench_fanout(
     smoke: bool,
     workers: int | None,
     chunk_size: "int | str" = AUTO_CHUNK,
-) -> dict[str, Any]:
-    """Chunked vs unchunked cold fan-out over the synthetic sweep.
+) -> list[dict[str, Any]]:
+    """Unchunked vs planned cold fan-out over the synthetic sweep.
 
-    Runs the cold synthetic grid through the process pool twice at the
-    same worker count -- once at ``chunk_size=1`` (the pre-planner
-    scenario-per-task protocol) and once at the planned ``chunk_size``
-    (default ``"auto"``) -- recording scenarios/second for each leg.  The
-    ratio isolates exactly what the execution planner buys: pickle/IPC
-    amortisation and per-worker kernel-memo locality, with the digest
-    equality check proving the speedup changed no result bits.
+    Runs the cold synthetic grid through the process pool at one worker
+    count -- once at ``chunk_size=1`` (the pre-planner scenario-per-task
+    protocol) and once at the planned ``chunk_size`` (default ``"auto"``;
+    skipped when it is 1 too).  The ratio isolates what the execution
+    planner buys: pickle/IPC amortisation and per-worker kernel-memo
+    locality.  The legs' digests must be identical.
     """
     grid = synthetic_sweep_grid(smoke)
     pool_workers = workers if workers is not None else (
         SMOKE_FANOUT_WORKERS if smoke else FANOUT_WORKERS
     )
-    runs: list[dict[str, Any]] = []
-    digests: list[str] = []
-    for chunk in (1, chunk_size):
+    rows = []
+    for chunk in dict.fromkeys((1, chunk_size)):
         plan = SweepPlan.build(grid, chunk_size=chunk, workers=pool_workers)
         clear_computation_caches()
         engine = Engine()
-        started = time.perf_counter()
-        results = engine.run_batch(grid, workers=pool_workers, chunk_size=chunk)
-        seconds = time.perf_counter() - started
-        digest = results_digest(results)
-        digests.append(digest)
-        runs.append(
-            {
-                "workers": pool_workers,
-                "chunk_size": str(chunk),
-                "resolved_chunk_size": plan.chunk_size,
-                "chunks": len(plan),
-                "structure_groups": plan.groups,
-                "scenarios": len(grid),
-                "seconds": seconds,
-                "scenarios_per_second": len(grid) / seconds if seconds > 0 else 0.0,
-                "digest": digest,
-            }
+        row, _ = timed_row(
+            "fanout",
+            {"scenarios": len(grid), "workers": pool_workers, "chunk": str(chunk)},
+            lambda: engine.run_batch(grid, workers=pool_workers, chunk_size=chunk),
+            engine,
+            results_digest,
         )
-    return {
-        "scenarios": len(grid),
-        "runs": runs,
-        "digests_identical": len(set(digests)) == 1,
-    }
+        row["counters"]["plan"] = {
+            "chunk_size": plan.chunk_size,
+            "chunks": len(plan),
+            "structure_groups": plan.groups,
+        }
+        rows.append(row)
+    check_parity("fanout digests", *(row["digest"] for row in rows))
+    return rows
 
 
-#: Packed-store record counts of the ``analysis`` section (replicated from
-#: a handful of genuinely solved scenarios).  The full count satisfies the
+#: Packed-store record counts of the ``analysis`` rows (replicated from a
+#: handful of genuinely solved scenarios).  The full count satisfies the
 #: >= 10k-record shape the sidecar-vs-decode comparison is specified at.
 ANALYSIS_BENCH_RECORDS = 12000
 SMOKE_ANALYSIS_BENCH_RECORDS = 1500
@@ -402,90 +363,54 @@ SMOKE_ANALYSIS_BENCH_RECORDS = 1500
 ANALYSIS_BENCH_BASE_SCENARIOS = 6
 
 
-def _bench_analysis(smoke: bool) -> dict[str, Any]:
+def _bench_analysis(smoke: bool) -> list[dict[str, Any]]:
     """Cold full-record decode vs columnar sidecar scan over a packed store.
 
     Builds a throwaway packed store by solving a few small synthetic
     scenarios and replicating their records under distinct keys (the
     payloads stay real, so the decode leg pays real decode cost), then
-    times ``records_from_store`` both ways.  The digest equality check
-    proves the fast path changed no output bits: both record tuples and
-    the rendered ``records_table`` must match exactly.
+    times ``records_from_store`` both ways.  Both legs must return equal
+    records; each row's digest is over its rendered ``records_table``.
     """
     from repro.analysis.analyze import records_table
     from repro.analysis.records import records_from_store
     from repro.store.result_store import make_record
 
+    def table_digest(records) -> str:
+        return hashlib.sha256(records_table(records).render().encode("utf-8")).hexdigest()
+
     target = SMOKE_ANALYSIS_BENCH_RECORDS if smoke else ANALYSIS_BENCH_RECORDS
     base_scenarios = synthetic_sweep_grid(smoke=True)[:ANALYSIS_BENCH_BASE_SCENARIOS]
-    engine = Engine()
     base_records = [
         make_record(outcome.scenario, outcome.result)
-        for outcome in engine.run_batch(base_scenarios)
+        for outcome in Engine().run_batch(base_scenarios)
     ]
+    rows, legs = [], []
     with tempfile.TemporaryDirectory(prefix="repro-analysis-bench-") as work_dir:
         store = PackedResultStore(work_dir)
-        batch: list[dict] = []
-        for index in range(target):
-            record = dict(base_records[index % len(base_records)])
-            record["key"] = f"{index:016x}" + "0" * 48
-            batch.append(record)
-            if len(batch) >= 2000:
-                store.put_records(batch)
-                batch = []
-        if batch:
+        for start in range(0, target, 2000):
+            batch = []
+            for index in range(start, min(start + 2000, target)):
+                record = dict(base_records[index % len(base_records)])
+                record["key"] = f"{index:016x}" + "0" * 48
+                batch.append(record)
             store.put_records(batch)
         store.close()
 
-        reader = PackedResultStore(work_dir)
-        started = time.perf_counter()
-        decoded = records_from_store(reader, columns=False)
-        decode_seconds = time.perf_counter() - started
-        reader.close()
-
-        reader = PackedResultStore(work_dir)
-        started = time.perf_counter()
-        scanned = records_from_store(reader)
-        scan_seconds = time.perf_counter() - started
-        reader.close()
-
-    decoded_digest = hashlib.sha256(
-        records_table(decoded).render().encode("utf-8")
-    ).hexdigest()
-    scanned_digest = hashlib.sha256(
-        records_table(scanned).render().encode("utf-8")
-    ).hexdigest()
-    return {
-        "records": target,
-        "base_scenarios": len(base_scenarios),
-        "full_decode": {
-            "records": len(decoded),
-            "seconds": decode_seconds,
-            "rows_per_second": target / decode_seconds if decode_seconds > 0 else 0.0,
-        },
-        "sidecar_scan": {
-            "records": len(scanned),
-            "seconds": scan_seconds,
-            "rows_per_second": target / scan_seconds if scan_seconds > 0 else 0.0,
-        },
-        "speedup": decode_seconds / scan_seconds if scan_seconds > 0 else 0.0,
-        "records_identical": decoded == scanned,
-        "table_digests_identical": decoded_digest == scanned_digest,
-        "table_digest": scanned_digest,
-    }
-
-
-def _bench_campaign(smoke: bool, workers: int | None) -> dict[str, Any]:
-    """Time the streaming campaign (cold vs interrupted-and-resumed sweep).
-
-    The campaign manages its own throwaway stores -- interruption and
-    resume are the thing being measured, so it never shares the session's
-    ``--store`` directory.
-    """
-    from repro.bench.campaign import run_campaign
-
-    with tempfile.TemporaryDirectory(prefix="repro-campaign-") as work_dir:
-        return run_campaign(work_dir, smoke=smoke, workers=workers)
+        for workload, columns in (("analysis decode", False), ("analysis sidecar", True)):
+            reader = PackedResultStore(work_dir)
+            row, records = timed_row(
+                workload,
+                {"records": target},
+                lambda: records_from_store(reader, columns=columns),
+                digest=table_digest,
+            )
+            reader.close()
+            row["counters"]["scan"] = {"rows": len(records)}
+            rows.append(row)
+            legs.append(records)
+    check_parity("analysis decode vs sidecar records", *legs)
+    return rows
 
 
 def run_bench(
@@ -521,12 +446,18 @@ def run_bench(
     chunk_size:
         Scenarios per pool task in the timed sweeps (``"auto"``: the
         planner's heuristic); also the planned leg of the ``fanout``
-        section.  Chunking never changes digests.
+        rows.  Chunking never changes digests.
     flush_every:
         Records per store write batch in the d695 sweep (default: every
         record immediately).
+
+    Raises
+    ------
+    ReproError
+        When a parity check between two legs of one workload fails.
     """
     from repro import __version__
+    from repro.bench.campaign import run_campaign
 
     if tag is None:
         tag = default_tag()
@@ -538,6 +469,18 @@ def run_bench(
     experiments = SMOKE_EXPERIMENTS if smoke else experiment_names()
     kernel_before = evaluate_kernel.cache_info()
     started = time.perf_counter()
+    # The campaign measures interruption and resume, so it runs on its own
+    # throwaway stores, never on the session's --store directory.
+    with tempfile.TemporaryDirectory(prefix="repro-campaign-") as campaign_dir:
+        rows = [
+            *_bench_experiments(experiments, store),
+            *_bench_solvers(store),
+            _bench_sweep(store, smoke, workers, objective, chunk_size, flush_every),
+            _bench_synthetic_sweep(smoke, workers, chunk_size),
+            *_bench_fanout(smoke, workers, chunk_size),
+            *run_campaign(campaign_dir, smoke=smoke, workers=workers),
+            *_bench_analysis(smoke),
+        ]
     report: dict[str, Any] = {
         "format": BENCH_FORMAT,
         "tag": tag,
@@ -551,16 +494,10 @@ def run_bench(
             "enabled": store is not None,
             "root": str(store.root) if store is not None else None,
         },
-        "experiments": _bench_experiments(experiments, store),
-        "solvers": _bench_solvers(store),
-        "sweep": _bench_sweep(store, smoke, workers, objective, chunk_size, flush_every),
-        "synthetic_sweep": _bench_synthetic_sweep(smoke, workers, chunk_size),
-        "fanout": _bench_fanout(smoke, workers, chunk_size),
-        "campaign": _bench_campaign(smoke, workers),
-        "analysis": _bench_analysis(smoke),
+        "rows": rows,
     }
     report["store_info"] = asdict(store.info()) if store is not None else None
-    report["evaluate_kernel"] = _kernel_delta(kernel_before, evaluate_kernel.cache_info())
+    report["kernel"] = _kernel_delta(kernel_before, evaluate_kernel.cache_info())
     report["wall_seconds"] = time.perf_counter() - started
     return report
 
@@ -584,108 +521,14 @@ def write_report(report: dict[str, Any], output_dir: str | Path = ".") -> Path:
     return path
 
 
-def summarize_report(report: dict[str, Any]) -> str:
-    """Human-readable summary of a report (printed by ``repro bench``)."""
-    lines = [
-        f"bench {report['tag']} (package {report['package_version']}, "
-        f"python {report['python_version']}"
-        + (", smoke" if report["smoke"] else "")
-        + ")",
-    ]
-    store = report["store"]
-    lines.append(
-        f"  store: {store['root']}" if store["enabled"] else "  store: disabled"
-    )
-    lines.append("  experiments:")
-    for row in report["experiments"]:
-        cache = row["cache"]
-        lines.append(
-            f"    {row['name']:18s} {row['seconds']:8.3f}s  "
-            f"(hits {cache['hits']}, store hits {cache['store_hits']}, "
-            f"misses {cache['misses']})"
-        )
-    lines.append("  solvers (d695 @ 256ch x 64K):")
-    for row in report["solvers"]:
-        if "skipped" in row:
-            lines.append(f"    {row['name']:18s}  skipped: {row['skipped']}")
-        else:
-            cache = row["cache"]
-            lines.append(
-                f"    {row['name']:18s} {row['seconds']:8.3f}s  "
-                f"(n_opt={row['optimal_sites']}, store hits {cache['store_hits']})"
-            )
-    sweep = report["sweep"]
-    cache = sweep["cache"]
-    lines.append(
-        f"  d695 sweep: {sweep['scenarios']} scenarios in {sweep['seconds']:.3f}s  "
-        f"(store hits {cache['store_hits']}, misses {cache['misses']})"
-    )
-    lines.append(f"  sweep digest: {sweep['digest']}")
-    synthetic = report.get("synthetic_sweep")
-    if synthetic:
-        kernel = synthetic["evaluate_kernel"]
-        lines.append(
-            f"  synthetic sweep (cold): {synthetic['scenarios']} scenarios in "
-            f"{synthetic['seconds']:.3f}s  (kernel hits {kernel['hits']}, "
-            f"misses {kernel['misses']}, max batch {kernel['max_batch']})"
-        )
-    fanout = report.get("fanout")
-    if fanout:
-        digests = "identical" if fanout["digests_identical"] else "DIFFER"
-        lines.append(f"  fanout ({fanout['scenarios']} scenarios cold, digests {digests}):")
-        for run in fanout["runs"]:
-            lines.append(
-                f"    workers={run['workers']} chunk={run['chunk_size']:>4s} "
-                f"({run['chunks']} chunk(s) of <= {run['resolved_chunk_size']}): "
-                f"{run['seconds']:8.3f}s  "
-                f"({run['scenarios_per_second']:.1f} scenarios/s)"
-            )
-    kernel_total = report.get("evaluate_kernel")
-    if kernel_total:
-        lines.append(
-            f"  evaluate kernel: {kernel_total['hits']} hits, "
-            f"{kernel_total['misses']} misses over "
-            f"{kernel_total['batch_calls']} batch calls "
-            f"({kernel_total['batch_points']} points, "
-            f"max batch {kernel_total['max_batch']})"
-        )
-    campaign = report["campaign"]
-    digests = "identical" if campaign["digests_match"] else "DIFFER"
-    lines.append(
-        f"  campaign: {campaign['scenarios']} scenarios cold in "
-        f"{campaign['cold_seconds']:.3f}s; interrupted after "
-        f"{campaign['interrupted_after']}, resumed in "
-        f"{campaign['resume_seconds']:.3f}s ({campaign['speedup']:.1f}x, "
-        f"{campaign['resume_store_hits']} store hits, digests {digests})"
-    )
-    analysis = report.get("analysis")
-    if analysis:
-        digests = "identical" if analysis["table_digests_identical"] else "DIFFER"
-        full = analysis["full_decode"]
-        scan = analysis["sidecar_scan"]
-        lines.append(
-            f"  analysis ({analysis['records']} packed records, digests {digests}):"
-        )
-        lines.append(
-            f"    full decode:  {full['seconds']:8.3f}s  "
-            f"({full['rows_per_second']:,.0f} rows/s)"
-        )
-        lines.append(
-            f"    sidecar scan: {scan['seconds']:8.3f}s  "
-            f"({scan['rows_per_second']:,.0f} rows/s, "
-            f"{analysis['speedup']:.1f}x)"
-        )
-    lines.append(f"  total wall time: {report['wall_seconds']:.3f}s")
-    return "\n".join(lines)
-
-
 def load_report(path: str | Path) -> dict[str, Any]:
     """Load a ``BENCH_<tag>.json`` report written by :func:`write_report`.
 
     Raises
     ------
     ConfigurationError
-        When the file is unreadable, not JSON, or not a bench report.
+        When the file is unreadable, not JSON, not a bench report, or a
+        report of another :data:`BENCH_FORMAT`.
     """
     try:
         report = json.loads(Path(path).expanduser().read_text(encoding="utf-8"))
@@ -693,192 +536,117 @@ def load_report(path: str | Path) -> dict[str, Any]:
         raise ConfigurationError(f"cannot read bench report {path}: {error}") from error
     except json.JSONDecodeError as error:
         raise ConfigurationError(f"{path} is not valid JSON: {error}") from error
-    if not isinstance(report, dict) or "tag" not in report or "sweep" not in report:
-        raise ConfigurationError(f"{path} is not a bench report (missing tag/sweep)")
+    if not isinstance(report, dict) or "tag" not in report:
+        raise ConfigurationError(f"{path} is not a bench report (missing tag)")
+    if report.get("format") != BENCH_FORMAT:
+        raise ConfigurationError(
+            f"{path} is a format {report.get('format')} bench report; this version "
+            f"reads format {BENCH_FORMAT} only -- rerun repro bench to regenerate it"
+        )
+    if not isinstance(report.get("rows"), list):
+        raise ConfigurationError(f"{path} is not a bench report (missing rows)")
     return report
+
+
+def row_key(row: dict[str, Any]) -> tuple[str, str]:
+    """The pairing key of a row: its workload and canonical params."""
+    return row["workload"], json.dumps(row["params"], sort_keys=True)
+
+
+def row_label(row: dict[str, Any]) -> str:
+    """Human-readable form of :func:`row_key` (``workload k=v ...``, unset params omitted)."""
+    params = " ".join(
+        f"{name}={value}" for name, value in sorted(row["params"].items()) if value is not None
+    )
+    return f"{row['workload']} {params}".rstrip()
+
+
+def pair_rows(
+    current: dict[str, Any], previous: dict[str, Any]
+) -> tuple[list[tuple[dict, dict]], list[dict], list[dict]]:
+    """Timed rows of two reports matched on :func:`row_key`.
+
+    Returns ``(pairs, new, gone)``: ``(previous row, current row)`` pairs
+    in current-report order, then the current report's unmatched rows and
+    the previous report's.  Skipped rows never pair.
+    """
+    before = {row_key(row): row for row in previous["rows"] if "seconds" in row}
+    after = {row_key(row): row for row in current["rows"] if "seconds" in row}
+    pairs = [(before[key], row) for key, row in after.items() if key in before]
+    new = [row for key, row in after.items() if key not in before]
+    gone = [row for key, row in before.items() if key not in after]
+    return pairs, new, gone
+
+
+def _counters_text(counters: dict[str, Any]) -> str:
+    """The non-zero counters of a row as ``group: name=value ...`` text."""
+    groups = []
+    for group, values in sorted(counters.items()):
+        shown = " ".join(f"{name}={value}" for name, value in sorted(values.items()) if value)
+        if shown:
+            groups.append(f"{group}: {shown}")
+    return "; ".join(groups)
+
+
+def summarize_report(report: dict[str, Any]) -> str:
+    """Human-readable summary of a report (printed by ``repro bench``)."""
+    store = report["store"]
+    lines = [
+        f"bench {report['tag']} (package {report['package_version']}, "
+        f"python {report['python_version']}"
+        + (", smoke" if report["smoke"] else "")
+        + ")",
+        f"  store: {store['root']}" if store["enabled"] else "  store: disabled",
+    ]
+    for row in report["rows"]:
+        label = row_label(row)
+        if "skipped" in row:
+            lines.append(f"  {label:48s} skipped: {row['skipped']}")
+            continue
+        digest = f"  digest {row['digest'][:16]}" if row["digest"] else ""
+        lines.append(f"  {label:48s} {row['seconds']:8.3f}s{digest}")
+        counters = _counters_text(row["counters"])
+        if counters:
+            lines.append(f"      {counters}")
+    lines.append(f"  total {_counters_text({'kernel': report['kernel']})}")
+    lines.append(f"  total wall time: {report['wall_seconds']:.3f}s")
+    return "\n".join(lines)
 
 
 def _ratio_line(label: str, previous: float, current: float) -> str:
     """One comparison line: previous -> current seconds with the speedup."""
-    if current > 0:
-        ratio = f"{previous / current:.2f}x"
-    else:
-        ratio = "inf"
-    return f"    {label:18s} {previous:8.3f}s -> {current:8.3f}s  ({ratio})"
-
-
-def _fanout_runs(report: dict[str, Any]) -> dict[tuple, dict[str, Any]]:
-    """Index a report's fanout runs by ``(workers, chunk_size, scenarios)``.
-
-    The matching key for cross-report comparison: a fanout run is only
-    compared against a run of the *same* pool shape over the *same* grid
-    size, so reruns with different ``--workers``/``--chunk``/``--smoke``
-    settings never pair up as false regressions.
-    """
-    fanout = report.get("fanout") or {}
-    return {
-        (run["workers"], run["chunk_size"], run["scenarios"]): run
-        for run in fanout.get("runs", ())
-    }
+    ratio = f"{previous / current:.2f}x" if current > 0 else "inf"
+    return f"  {label:48s} {previous:8.3f}s -> {current:8.3f}s  ({ratio})"
 
 
 def compare_reports(current: dict[str, Any], previous: dict[str, Any]) -> str:
     """Regression summary of ``current`` against a ``previous`` report.
 
-    Matches the experiment and solver sections by name, compares the sweep
-    and campaign workloads, and -- when both reports timed the same sweep
-    (equal scenario counts and objective) -- checks digest equality, the
-    signal that a speedup changed nothing.  Ratios above ``1x`` mean the
-    current run is faster.  This is what ``repro bench --compare
-    PREV.json`` prints, turning the committed ``BENCH_seed.json`` baseline
-    into an actionable perf trajectory.
+    Pairs the timed rows on ``(workload, params)`` (:func:`pair_rows`) and
+    prints, per pair, previous -> current seconds with the speedup (ratios
+    above ``1x`` mean the current run is faster) and, when both rows carry
+    a digest, whether the results are bit-identical.  Unpaired rows are
+    listed as new or gone.  This is what ``repro bench --compare
+    PREV.json`` prints.
     """
+    pairs, new, gone = pair_rows(current, previous)
     lines = [
         f"bench compare: {previous['tag']} (package "
         f"{previous.get('package_version', '?')}) -> {current['tag']} "
-        f"(package {current.get('package_version', '?')})"
+        f"(package {current.get('package_version', '?')})",
+        f"  paired {len(pairs)} row(s) on (workload, params); "
+        f"{len(new)} new, {len(gone)} gone",
     ]
-    previous_experiments = {
-        row["name"]: row for row in previous.get("experiments", ()) if "seconds" in row
-    }
-    current_experiments = {
-        row["name"]: row for row in current.get("experiments", ()) if "seconds" in row
-    }
-    shared = sorted(previous_experiments.keys() & current_experiments.keys())
-    if shared:
-        lines.append("  experiments:")
-        for name in shared:
-            lines.append(
-                _ratio_line(
-                    name,
-                    previous_experiments[name]["seconds"],
-                    current_experiments[name]["seconds"],
-                )
-            )
-    for label, names in (
-        ("new", sorted(current_experiments.keys() - previous_experiments.keys())),
-        ("gone", sorted(previous_experiments.keys() - current_experiments.keys())),
-    ):
-        if names:
-            lines.append(f"    {label}: {', '.join(names)}")
-
-    previous_solvers = {
-        row["name"]: row for row in previous.get("solvers", ()) if "seconds" in row
-    }
-    current_solvers = {
-        row["name"]: row for row in current.get("solvers", ()) if "seconds" in row
-    }
-    shared = sorted(previous_solvers.keys() & current_solvers.keys())
-    if shared:
-        lines.append("  solvers:")
-        for name in shared:
-            lines.append(
-                _ratio_line(
-                    name, previous_solvers[name]["seconds"], current_solvers[name]["seconds"]
-                )
-            )
-
-    previous_sweep, current_sweep = previous["sweep"], current["sweep"]
-    lines.append("  sweep:")
+    for before, after in pairs:
+        line = _ratio_line(row_label(after), before["seconds"], after["seconds"])
+        if before["digest"] and after["digest"]:
+            same = before["digest"] == after["digest"]
+            line += "  digest " + ("identical" if same else "DIFFER")
+        lines.append(line)
+    for status, rows in (("new", new), ("gone", gone)):
+        lines.extend(f"  {status}: {row_label(row)}" for row in rows)
     lines.append(
-        _ratio_line(
-            f"{current_sweep['scenarios']} scenarios",
-            previous_sweep["seconds"],
-            current_sweep["seconds"],
-        )
-    )
-    comparable = previous_sweep["scenarios"] == current_sweep["scenarios"] and (
-        previous_sweep.get("objective", DEFAULT_OBJECTIVE)
-        == current_sweep.get("objective", DEFAULT_OBJECTIVE)
-    )
-    if comparable:
-        digests = (
-            "identical"
-            if previous_sweep.get("digest") == current_sweep.get("digest")
-            else "DIFFER"
-        )
-        lines.append(f"    digests: {digests}")
-    else:
-        lines.append("    digests: not comparable (different sweep workloads)")
-
-    previous_synthetic = previous.get("synthetic_sweep")
-    current_synthetic = current.get("synthetic_sweep")
-    if (
-        previous_synthetic
-        and current_synthetic
-        and previous_synthetic["scenarios"] == current_synthetic["scenarios"]
-    ):
-        lines.append("  synthetic sweep (cold):")
-        lines.append(
-            _ratio_line(
-                f"{current_synthetic['scenarios']} scenarios",
-                previous_synthetic["seconds"],
-                current_synthetic["seconds"],
-            )
-        )
-        digests = (
-            "identical"
-            if previous_synthetic.get("digest") == current_synthetic.get("digest")
-            else "DIFFER"
-        )
-        lines.append(f"    digests: {digests}")
-
-    previous_fanout = _fanout_runs(previous)
-    current_fanout = _fanout_runs(current)
-    shared_fanout = sorted(previous_fanout.keys() & current_fanout.keys())
-    if shared_fanout:
-        lines.append("  fanout:")
-        for key in shared_fanout:
-            workers_count, chunk, _ = key
-            lines.append(
-                _ratio_line(
-                    f"w={workers_count} chunk={chunk}",
-                    previous_fanout[key]["seconds"],
-                    current_fanout[key]["seconds"],
-                )
-            )
-
-    previous_campaign = previous.get("campaign")
-    current_campaign = current.get("campaign")
-    if previous_campaign and current_campaign:
-        lines.append("  campaign:")
-        lines.append(
-            _ratio_line(
-                "cold sweep", previous_campaign["cold_seconds"], current_campaign["cold_seconds"]
-            )
-        )
-    previous_analysis = previous.get("analysis")
-    current_analysis = current.get("analysis")
-    if (
-        previous_analysis
-        and current_analysis
-        and previous_analysis["records"] == current_analysis["records"]
-    ):
-        lines.append("  analysis:")
-        lines.append(
-            _ratio_line(
-                "full decode",
-                previous_analysis["full_decode"]["seconds"],
-                current_analysis["full_decode"]["seconds"],
-            )
-        )
-        lines.append(
-            _ratio_line(
-                "sidecar scan",
-                previous_analysis["sidecar_scan"]["seconds"],
-                current_analysis["sidecar_scan"]["seconds"],
-            )
-        )
-        digests = (
-            "identical"
-            if previous_analysis.get("table_digest") == current_analysis.get("table_digest")
-            else "DIFFER"
-        )
-        lines.append(f"    digests: {digests}")
-    lines.append(
-        _ratio_line(
-            "total wall", previous.get("wall_seconds", 0.0), current.get("wall_seconds", 0.0)
-        ).replace("    ", "  ", 1)
+        _ratio_line("total wall", previous.get("wall_seconds", 0.0), current["wall_seconds"])
     )
     return "\n".join(lines)
 
@@ -931,7 +699,7 @@ def format_profile(stats: Any, limit: int = PROFILE_TOP_FUNCTIONS) -> str:
     return "\n".join(lines)
 
 
-#: Workloads faster than this (in both reports) are never called regressions:
+#: Rows faster than this (in both reports) are never called regressions:
 #: at sub-50ms scale, timer jitter swamps any real signal.
 REGRESSION_FLOOR_SECONDS = 0.05
 
@@ -942,25 +710,23 @@ def find_regressions(
     threshold_pct: float,
     noise_floor_seconds: float = REGRESSION_FLOOR_SECONDS,
 ) -> list[str]:
-    """Workloads of ``current`` slower than ``previous`` by more than the threshold.
+    """Rows of ``current`` slower than their ``previous`` pair beyond the threshold.
 
     The CI ratchet behind ``repro bench --compare BENCH_seed.json
-    --fail-on-regression PCT``: every workload the two reports share by
-    name -- experiments, solver backends, the d695 and synthetic sweeps,
-    fanout runs of the same pool shape, the campaign's cold leg, the
-    analysis section's decode and sidecar-scan legs -- is
-    compared, and a line is returned for each
-    one whose current time exceeds the previous time by more than
-    ``threshold_pct`` percent.  Workloads below ``noise_floor_seconds``
-    (default :data:`REGRESSION_FLOOR_SECONDS`; the ``--noise-floor`` CLI
-    flag, in milliseconds) in both reports are ignored (pure timer noise),
-    as are workloads only one report has.  An empty list means the ratchet
-    passes.
+    --fail-on-regression PCT``: every pair of :func:`pair_rows` is
+    compared, and a line is returned for each one whose current time
+    exceeds the previous time by more than ``threshold_pct`` percent.
+    Pairs below ``noise_floor_seconds`` (default
+    :data:`REGRESSION_FLOOR_SECONDS`; the ``--noise-floor`` CLI flag, in
+    milliseconds) in both reports are ignored (pure timer noise).  An
+    empty list means the ratchet passes.
 
     Raises
     ------
     ConfigurationError
-        When ``threshold_pct`` or ``noise_floor_seconds`` is negative.
+        When ``threshold_pct`` or ``noise_floor_seconds`` is negative, or
+        when the reports share no row (a ratchet that compares nothing
+        must not pass).
     """
     if threshold_pct < 0:
         raise ConfigurationError(
@@ -970,90 +736,21 @@ def find_regressions(
         raise ConfigurationError(
             f"noise floor must be >= 0 seconds, got {noise_floor_seconds}"
         )
-
-    pairs: list[tuple[str, float, float]] = []
-    for section in ("experiments", "solvers"):
-        previous_rows = {
-            row["name"]: row for row in previous.get(section, ()) if "seconds" in row
-        }
-        for row in current.get(section, ()):
-            name = row.get("name")
-            if "seconds" in row and name in previous_rows:
-                pairs.append(
-                    (f"{section[:-1]} {name}", previous_rows[name]["seconds"], row["seconds"])
-                )
-    previous_sweep, current_sweep = previous.get("sweep"), current.get("sweep")
-    if (
-        previous_sweep
-        and current_sweep
-        and previous_sweep.get("scenarios") == current_sweep.get("scenarios")
-        and previous_sweep.get("objective", DEFAULT_OBJECTIVE)
-        == current_sweep.get("objective", DEFAULT_OBJECTIVE)
-    ):
-        pairs.append(("sweep", previous_sweep["seconds"], current_sweep["seconds"]))
-    previous_synthetic = previous.get("synthetic_sweep")
-    current_synthetic = current.get("synthetic_sweep")
-    if (
-        previous_synthetic
-        and current_synthetic
-        and previous_synthetic.get("scenarios") == current_synthetic.get("scenarios")
-    ):
-        pairs.append(
-            (
-                "synthetic sweep",
-                previous_synthetic["seconds"],
-                current_synthetic["seconds"],
-            )
+    pairs, _, _ = pair_rows(current, previous)
+    if not pairs:
+        raise ConfigurationError(
+            f"bench report {current['tag']} shares no (workload, params) row with "
+            f"baseline {previous['tag']}: the perf ratchet has nothing to compare"
         )
-    previous_fanout = _fanout_runs(previous)
-    for key, run in _fanout_runs(current).items():
-        if key in previous_fanout:
-            workers_count, chunk, _ = key
-            pairs.append(
-                (
-                    f"fanout w={workers_count} chunk={chunk}",
-                    previous_fanout[key]["seconds"],
-                    run["seconds"],
-                )
-            )
-    previous_campaign, current_campaign = previous.get("campaign"), current.get("campaign")
-    if previous_campaign and current_campaign:
-        pairs.append(
-            (
-                "campaign cold sweep",
-                previous_campaign["cold_seconds"],
-                current_campaign["cold_seconds"],
-            )
-        )
-    previous_analysis, current_analysis = previous.get("analysis"), current.get("analysis")
-    if (
-        previous_analysis
-        and current_analysis
-        and previous_analysis.get("records") == current_analysis.get("records")
-    ):
-        pairs.append(
-            (
-                "analysis full decode",
-                previous_analysis["full_decode"]["seconds"],
-                current_analysis["full_decode"]["seconds"],
-            )
-        )
-        pairs.append(
-            (
-                "analysis sidecar scan",
-                previous_analysis["sidecar_scan"]["seconds"],
-                current_analysis["sidecar_scan"]["seconds"],
-            )
-        )
-
     regressions = []
-    for label, before, after in pairs:
+    for before_row, after_row in pairs:
+        before, after = before_row["seconds"], after_row["seconds"]
         if max(before, after) < noise_floor_seconds:
             continue
         if after > before * (1.0 + threshold_pct / 100.0):
             slower = (after / before - 1.0) * 100.0 if before > 0 else float("inf")
             regressions.append(
-                f"{label}: {before:.3f}s -> {after:.3f}s (+{slower:.1f}%, "
+                f"{row_label(after_row)}: {before:.3f}s -> {after:.3f}s (+{slower:.1f}%, "
                 f"threshold +{threshold_pct:g}%)"
             )
     return regressions

@@ -62,20 +62,20 @@ from repro.analysis import (
     records_table,
 )
 from repro.analysis.analyze import GROUP_COLUMNS, METRICS
-from repro.api.engine import Engine
+from repro.api.engine import Engine, sweep_digest
 from repro.api.grid import Grid, SweepGrid
 from repro.api.scenario import Scenario
 from repro.api.testcell import TestCell, reference_test_cell
 from repro.ate.probe_station import ProbeStation
 from repro.ate.spec import AteSpec
 from repro.bench.runner import (
+    REGRESSION_FLOOR_SECONDS,
     compare_reports,
     find_regressions,
     format_profile,
     load_report,
     run_bench,
     summarize_report,
-    sweep_digest,
     write_report,
 )
 from repro.core.exceptions import ConfigurationError, ReproError
@@ -574,7 +574,7 @@ def _add_bench_parser(
         "--noise-floor",
         metavar="MS",
         type=float,
-        default=None,
+        default=REGRESSION_FLOOR_SECONDS * 1000.0,
         help="ignore workloads faster than MS milliseconds in both reports when "
         "ratcheting (default 50 ms; timer jitter swamps anything quicker)",
     )
@@ -598,7 +598,7 @@ def _run_bench(args: argparse.Namespace) -> int:
         raise ConfigurationError(
             "--fail-on-regression needs --compare PREV.json to ratchet against"
         )
-    if args.noise_floor is not None and args.noise_floor < 0:
+    if args.noise_floor < 0:
         raise ConfigurationError(
             f"--noise-floor must be >= 0 milliseconds, got {args.noise_floor}"
         )
@@ -638,15 +638,12 @@ def _run_bench(args: argparse.Namespace) -> int:
         print(compare_reports(report, previous))
     print(f"report written to {path}")
     if previous is not None and args.fail_on_regression is not None:
-        if args.noise_floor is not None:
-            regressions = find_regressions(
-                report,
-                previous,
-                args.fail_on_regression,
-                noise_floor_seconds=args.noise_floor / 1000.0,
-            )
-        else:
-            regressions = find_regressions(report, previous, args.fail_on_regression)
+        regressions = find_regressions(
+            report,
+            previous,
+            args.fail_on_regression,
+            noise_floor_seconds=args.noise_floor / 1000.0,
+        )
         if regressions:
             print(
                 f"perf ratchet FAILED: {len(regressions)} workload(s) regressed "

@@ -42,8 +42,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping
 
-from repro.api.engine import Engine, ScenarioResult
-from repro.bench.runner import sweep_digest
+from repro.api.engine import Engine, ScenarioResult, sweep_digest
 from repro.core.exceptions import ConfigurationError, ReproError, StoreError
 from repro.service.protocol import (
     PROTOCOL_VERSION,

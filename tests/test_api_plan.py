@@ -10,7 +10,7 @@ without losing records on exceptions or abandonment.
 
 import pytest
 
-from repro.api import Engine, Scenario, SweepGrid, TestCell
+from repro.api import Engine, Scenario, SweepGrid, TestCell, sweep_digest
 from repro.api.plan import (
     AUTO_CHUNK,
     AUTO_CHUNKS_PER_WORKER,
@@ -21,7 +21,6 @@ from repro.api.plan import (
     structure_key,
 )
 from repro.ate.spec import AteSpec
-from repro.bench.runner import sweep_digest
 from repro.core.exceptions import ConfigurationError
 from repro.core.units import kilo_vectors
 from repro.soc.builder import SocBuilder

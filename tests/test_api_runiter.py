@@ -13,9 +13,8 @@ from concurrent.futures import BrokenExecutor
 import pytest
 
 import repro.api.engine as engine_module
-from repro.api import Engine, Scenario, SweepGrid, TestCell
+from repro.api import Engine, Scenario, SweepGrid, TestCell, sweep_digest
 from repro.ate.spec import AteSpec
-from repro.bench.runner import sweep_digest
 from repro.core.exceptions import ConfigurationError
 from repro.core.units import kilo_vectors
 from repro.soc.builder import SocBuilder

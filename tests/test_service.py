@@ -29,8 +29,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import Engine
-from repro.bench.runner import sweep_digest
+from repro.api import Engine, sweep_digest
 from repro.core.exceptions import ConfigurationError, ReproError, ServiceError
 from repro.core.units import mega_vectors
 from repro.service import (
