@@ -8,6 +8,10 @@ The ``package_data`` entry matters: the ITC'02 benchmark files under
 ``repro/itc02/data/`` are loaded through :mod:`importlib.resources` at
 runtime, so an installed wheel must ship them -- not only a
 ``PYTHONPATH=src`` checkout.
+
+numpy is the one runtime dependency: the evaluation kernel batches the
+multi-site objective math over every candidate site count through it.  It
+is left unpinned; the kernel-equivalence test suite is the guard.
 """
 
 import re
@@ -37,6 +41,7 @@ setup(
         "infrastructure design for optimal multi-site testing of system chips"
     ),
     python_requires=">=3.10",
+    install_requires=["numpy"],
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     package_data={"repro.itc02": ["data/*.soc"]},

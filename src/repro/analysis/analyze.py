@@ -15,24 +15,16 @@ vector depth) with the Section-7 street prices -- the same valuation the
 agree on what a configuration costs.
 
 The aggregations (:func:`group_summary`, :func:`best_per_soc`,
-:func:`pareto_front`) run numpy-vectorised when numpy is importable and
-fall back to pure-Python scalar implementations otherwise.  Both paths are
-**bit-identical**: the vector code replays the scalar arithmetic exactly
-(same IEEE-754 operation order for the cost model, ``math.fsum`` means,
-first-minimum tie-breaks), which the cross-implementation tests pin.
+:func:`pareto_front`) are pure Python on purpose: at 100k records numpy
+buys the three of them together at most ~1.3x, too little to carry a second
+implementation.  The Pareto front is an O(n log n) sort sweep.
 """
 
 from __future__ import annotations
 
-import math
 import statistics
 from dataclasses import dataclass
 from typing import Callable, Sequence
-
-try:  # numpy is an accelerator, never a requirement
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the scalar tests
-    _np = None
 
 from repro.analysis.records import AnalysisRecord
 from repro.ate.pricing import AtePricing
@@ -113,52 +105,6 @@ GROUP_COLUMNS: dict[str, Callable[[AnalysisRecord], object]] = {
 }
 
 
-def _extract_array(metric: Metric, records: Sequence[AnalysisRecord]):
-    """The metric over ``records`` as a float64 array, or ``None`` to fall back.
-
-    Each branch replays the corresponding scalar extractor bit for bit:
-    int-to-float64 casts are exact (every field fits in 53 bits), and the
-    ``cost`` branch evaluates the pricing polynomial in the same operation
-    order as :meth:`AtePricing.capital_cost_usd` over the same
-    broadcast-aware employed-channel count.
-    """
-    if _np is None:
-        return None
-    count = len(records)
-    name = metric.name
-    if name == "time":
-        return _np.fromiter(
-            (record.test_time_cycles for record in records), _np.float64, count
-        )
-    if name == "throughput":
-        return _np.fromiter((record.value for record in records), _np.float64, count)
-    if name == "sites":
-        return _np.fromiter(
-            (record.optimal_sites for record in records), _np.float64, count
-        )
-    if name == "channels":
-        return _np.fromiter((record.channels for record in records), _np.float64, count)
-    if name == "depth":
-        return _np.fromiter((record.depth for record in records), _np.float64, count)
-    if name == "cost":
-        per_site = _np.fromiter(
-            (record.channels_per_site for record in records), _np.int64, count
-        )
-        sites = _np.fromiter(
-            (record.optimal_sites for record in records), _np.int64, count
-        )
-        broadcast = _np.fromiter(
-            (record.broadcast for record in records), _np.bool_, count
-        )
-        depth = _np.fromiter((record.depth for record in records), _np.float64, count)
-        half = per_site // 2
-        employed = _np.where(broadcast, half + sites * half, sites * per_site)
-        return employed.astype(_np.float64) * (
-            _PRICING.price_per_channel() + depth * _PRICING.price_per_vector_per_channel()
-        )
-    return None
-
-
 def get_metric(name: str) -> Metric:
     """Look a metric up by name.
 
@@ -231,41 +177,11 @@ def group_summary(
         title=f"{metric.title} by {by}",
         columns=[by, "records", "min", "mean", "max"],
     )
-    values = _extract_array(metric, records) if records else None
-    if values is None:
-        return _group_summary_scalar(records, accessor, metric, table)
-    groups: dict[object, list[int]] = {}
-    for index, record in enumerate(records):
-        groups.setdefault(accessor(record), []).append(index)
-    for group in sorted(groups, key=repr):
-        members = values[_np.array(groups[group], dtype=_np.intp)]
-        # math.fsum over the exact member floats reproduces
-        # statistics.fmean bit for bit (fmean is fsum / n).
-        mean = math.fsum(members.tolist()) / len(members)
-        table.add_row(
-            [
-                group,
-                len(members),
-                f"{float(members.min()):.4g}",
-                f"{mean:.4g}",
-                f"{float(members.max()):.4g}",
-            ]
-        )
-    return table
-
-
-def _group_summary_scalar(
-    records: Sequence[AnalysisRecord],
-    accessor: Callable[[AnalysisRecord], object],
-    metric: Metric,
-    table: Table,
-) -> Table:
-    """Pure-Python :func:`group_summary` body (no-numpy fallback, pinned equal)."""
-    groups: dict[object, list[AnalysisRecord]] = {}
+    groups: dict[object, list[float]] = {}
     for record in records:
-        groups.setdefault(accessor(record), []).append(record)
+        groups.setdefault(accessor(record), []).append(metric.extract(record))
     for group in sorted(groups, key=repr):
-        values = [metric.extract(record) for record in groups[group]]
+        values = groups[group]
         table.add_row(
             [
                 group,
@@ -287,33 +203,13 @@ def best_per_soc(
     record order, so the selection never depends on input order.
     """
     metric = get_metric(metric_name)
-    ordered = sorted(records, key=AnalysisRecord.sort_key)
-    values = _extract_array(metric, ordered) if ordered else None
-    if values is None:
-        return _best_per_soc_scalar(ordered, metric)
-    signed = -values if metric.sense == "max" else values
-    groups: dict[str, list[int]] = {}
-    for index, record in enumerate(ordered):
-        groups.setdefault(record.soc, []).append(index)
-    best = {}
-    for soc, indices in groups.items():
-        # argmin keeps the first minimum, matching the scalar strict-<
-        # incumbent test over the deterministically ordered records.
-        member = _np.array(indices, dtype=_np.intp)
-        best[soc] = ordered[int(member[int(_np.argmin(signed[member]))])]
-    return tuple(best[name] for name in sorted(best))
-
-
-def _best_per_soc_scalar(
-    ordered: Sequence[AnalysisRecord], metric: Metric
-) -> tuple[AnalysisRecord, ...]:
-    """Pure-Python :func:`best_per_soc` body (no-numpy fallback, pinned equal)."""
-    best: dict[str, AnalysisRecord] = {}
-    for record in ordered:
+    best: dict[str, tuple[float, AnalysisRecord]] = {}
+    for record in sorted(records, key=AnalysisRecord.sort_key):
+        signed = metric.signed(record)
         incumbent = best.get(record.soc)
-        if incumbent is None or metric.signed(record) < metric.signed(incumbent):
-            best[record.soc] = record
-    return tuple(best[name] for name in sorted(best))
+        if incumbent is None or signed < incumbent[0]:
+            best[record.soc] = (signed, record)
+    return tuple(best[name][1] for name in sorted(best))
 
 
 def pareto_front(
@@ -327,67 +223,33 @@ def pareto_front(
     kept.  The front is returned in deterministic order: ascending in the
     x metric's minimise convention, ties broken by the y value and then by
     the record sort order.
+
+    One sort sweep finds it: ordered by (x, y) in minimise convention, a
+    point is dominated iff the minimum y over strictly smaller x is <= its
+    y, or the minimum y within its own x-run (the run's first y) is < its y.
     """
     if x_metric == y_metric:
         raise ConfigurationError("pareto needs two different metrics")
     x_spec, y_spec = get_metric(x_metric), get_metric(y_metric)
-    ordered = sorted(records, key=AnalysisRecord.sort_key)
-    front = _pareto_candidates(ordered, x_spec, y_spec)
-    front.sort(key=lambda item: (item[0], item[1], item[2].sort_key()))
-    return tuple(record for _, _, record in front)
-
-
-def _pareto_candidates(
-    ordered: Sequence[AnalysisRecord], x_spec: Metric, y_spec: Metric
-) -> list[tuple[float, float, AnalysisRecord]]:
-    """Non-dominated ``(x, y, record)`` triples of the ordered records.
-
-    The vector path replaces the O(n^2) dominance scan with a sort-based
-    sweep: after ordering by (x, y) in minimise convention, a point is
-    dominated iff the minimum y over strictly-smaller x is <= its y, or
-    the minimum y within its own x-run is < its y -- the same strict/weak
-    split the scalar predicate expresses, so ties (identical metric
-    pairs) are all kept on both paths.
-    """
-    x_values = _extract_array(x_spec, ordered) if ordered else None
-    y_values = _extract_array(y_spec, ordered) if ordered else None
-    if x_values is None or y_values is None:
-        valued = [
-            (x_spec.signed(record), y_spec.signed(record), record)
-            for record in ordered
-        ]
-        return [
-            (x, y, record)
-            for x, y, record in valued
-            if not any(
-                (ox <= x and oy < y) or (ox < x and oy <= y) for ox, oy, _ in valued
-            )
-        ]
-    if x_spec.sense == "max":
-        x_values = -x_values
-    if y_spec.sense == "max":
-        y_values = -y_values
-    count = len(ordered)
-    order = _np.lexsort((y_values, x_values))
-    xs, ys = x_values[order], y_values[order]
-    new_run = _np.empty(count, dtype=bool)
-    new_run[0] = True
-    new_run[1:] = xs[1:] != xs[:-1]
-    run_start = _np.maximum.accumulate(
-        _np.where(new_run, _np.arange(count), 0)
+    valued = sorted(
+        (
+            (x_spec.signed(record), y_spec.signed(record), record.sort_key(), record)
+            for record in records
+        ),
+        key=lambda item: item[:3],
     )
-    prefix_min = _np.minimum.accumulate(ys)
-    has_smaller_x = run_start > 0
-    best_smaller = prefix_min[_np.maximum(run_start - 1, 0)]
-    best_same = ys[run_start]
-    dominated_sorted = (has_smaller_x & (best_smaller <= ys)) | (best_same < ys)
-    keep = _np.empty(count, dtype=bool)
-    keep[order] = ~dominated_sorted
-    return [
-        (float(x_values[index]), float(y_values[index]), ordered[index])
-        for index in range(count)
-        if keep[index]
-    ]
+    front = []
+    best_smaller: float | None = None  # minimum y over strictly smaller x
+    run_x = run_min = None
+    for x, y, _, record in valued:
+        if x != run_x:
+            if run_min is not None and (best_smaller is None or run_min < best_smaller):
+                best_smaller = run_min
+            run_x, run_min = x, y
+        if run_min < y or (best_smaller is not None and best_smaller <= y):
+            continue
+        front.append(record)
+    return tuple(front)
 
 
 def pareto_table(

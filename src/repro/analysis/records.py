@@ -161,7 +161,14 @@ def records_from_store(
     scans segments in a process pool (one task per segment, merged
     deterministically).  ``progress``
     receives one stderr-style line per scanned segment / decode batch.
+
+    Raises
+    ------
+    ConfigurationError
+        When ``workers`` is given but not positive.
     """
+    if workers is not None and workers <= 0:
+        raise ConfigurationError(f"worker count must be positive, got {workers}")
     store = open_store(store)
     if columns:
         return _finalize(_column_rows(store, workers=workers, progress=progress))

@@ -827,18 +827,23 @@ def _run_store_reindex(store: PackedResultStore, columns: bool) -> int:
     return 0
 
 
+def _existing_store(path: str, command: str) -> str:
+    """``path`` unchanged, or an error naming ``command`` if it is no directory.
+
+    Commands that only read or maintain a store must not leave a fresh
+    empty store behind at a mistyped path.
+    """
+    if not Path(path).expanduser().is_dir():
+        raise ConfigurationError(f"{command}: {path} is not a store directory")
+    return path
+
+
 def _run_store(args: argparse.Namespace) -> int:
     if not args.store:
         raise ConfigurationError(f"store {args.store_command} needs --store DIR")
     if args.store_command == "migrate":
         return _run_store_migrate(args)
-    # The maintenance commands inspect an existing store; a mistyped path
-    # must not leave a fresh empty store behind.
-    if not Path(args.store).expanduser().is_dir():
-        raise ConfigurationError(
-            f"store {args.store_command}: {args.store} is not a store directory"
-        )
-    store = PackedResultStore(args.store)
+    store = PackedResultStore(_existing_store(args.store, f"store {args.store_command}"))
     if args.store_command == "compact":
         return _run_store_compact(store)
     if args.store_command == "reindex":
@@ -1025,7 +1030,7 @@ def _run_analyze(args: argparse.Namespace) -> int:
         def progress(line: str) -> None:
             print(line, file=sys.stderr, flush=True)
     records = load_records(
-        store=args.store,
+        store=None if args.store is None else _existing_store(args.store, "analyze"),
         jsonl_paths=args.inputs,
         workers=args.workers,
         progress=progress,

@@ -18,9 +18,9 @@ float64 match CPython's float arithmetic operation for operation).  The
 kernel equivalence test suite pins this across SOCs, objectives and yield
 settings.
 
-This module is the only part of :mod:`repro.multisite` that imports numpy;
-everything else works without it, and the kernel falls back to the scalar
-forms when this import fails.
+This module is the only part of :mod:`repro.multisite` that imports numpy
+(a declared dependency of the package); the scalar forms stay the
+per-point path and the equivalence suite's oracle.
 """
 
 from __future__ import annotations

@@ -9,9 +9,8 @@ in the same order as the scalar backend, so the evaluation kernel may route
 any point through either path without changing a single output byte (the
 kernel equivalence test suite pins this).
 
-Importing this module requires numpy; :mod:`repro.objectives.backends`
-imports it in a ``try`` block, so the scalar objective stack keeps working
-when numpy is unavailable.
+:mod:`repro.objectives.backends` attaches these once its scalar backends
+are registered.
 """
 
 from __future__ import annotations

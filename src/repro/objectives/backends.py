@@ -24,6 +24,7 @@ import math
 from repro.ate.pricing import AtePricing
 from repro.ate.spec import AteSpec
 from repro.multisite.throughput import MultiSiteScenario
+from repro.objectives import array_backends as _array_backends
 from repro.objectives.registry import register_objective
 from repro.optimize.channels import total_channels_used
 from repro.optimize.config import Objective, OptimizationConfig
@@ -124,11 +125,5 @@ def evaluate_channel_budget(
 
 
 # Attach the vectorised array twins (bit-identical, used by the batch
-# evaluation kernel).  Optional: without numpy the scalar backends above
-# cover everything, just without the batch fast path.
-try:
-    from repro.objectives import array_backends as _array_backends
-except ImportError:  # pragma: no cover - exercised only without numpy
-    pass
-else:
-    _array_backends.attach()
+# evaluation kernel); the scalar backends above stay the per-point path.
+_array_backends.attach()

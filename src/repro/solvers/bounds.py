@@ -22,7 +22,7 @@ test time ``T_min(W) = max(time bound, capacity bound)`` and keeps the best
 (sense-signed) value.  The scan collects every admissible ``(n, W)`` pair
 first and evaluates them all in one call to the evaluation kernel's batch
 helper (:func:`~repro.solvers.evaluate.objective_values`), which routes
-through the objective's numpy array backend when one is available and is
+through the objective's numpy array backend when it registered one and is
 bit-identical to per-pair scalar evaluation.  Because every built-in
 objective satisfies the monotonicity contract *"for a fixed site count,
 channel count and yields, the objective never improves as the

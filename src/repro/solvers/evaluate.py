@@ -19,7 +19,7 @@ the Step-1 design; bit-identical because the greedy bottleneck widening
 only depends on the current state and the budgets grow monotonically as
 sites are given up), and the objective math runs vectorised over the
 candidate site counts through the numpy array forms in
-:mod:`repro.multisite.batch` when numpy is available.  The scalar
+:mod:`repro.multisite.batch`.  The scalar
 :func:`evaluate_point` and the single-move :func:`evaluate_move` (the API a
 simulated-annealing / local-search backend needs) share the same memo, so
 every entry point sees the same cache.
@@ -37,9 +37,12 @@ from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable, Sequence
 
+import numpy as np
+
 from repro.ate.probe_station import ProbeStation
 from repro.ate.spec import AteSpec
 from repro.core.exceptions import ConfigurationError
+from repro.multisite.batch import ScenarioBatch
 from repro.multisite.cost_model import TestTiming
 from repro.multisite.throughput import MultiSiteScenario
 from repro.objectives.registry import DEFAULT_OBJECTIVE, ObjectiveSpec, get_objective
@@ -48,11 +51,6 @@ from repro.optimize.config import Objective, OptimizationConfig
 from repro.soc.module import Module
 from repro.tam.architecture import TestArchitecture
 from repro.tam.redistribution import widen_to_channel_budget
-
-try:  # numpy powers the vectorised objective math; scalar fallback without.
-    from repro.multisite.batch import ScenarioBatch
-except ImportError:  # pragma: no cover - exercised only without numpy
-    ScenarioBatch = None  # type: ignore[assignment]
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.optimize.result import Step1Result
@@ -239,9 +237,8 @@ def objective_values(
 
     Point ``i`` is ``sites[i]`` sites of ``channels_per_site[i]`` channels
     each, testing for ``manufacturing_test_time_s[i]`` seconds.  The array
-    path is taken when numpy is importable, the objective registered an
-    array backend, and the batch is big enough to amortise the array
-    construction; validation of the shared test-cell parameters then
+    path is taken when the objective registered an array backend and the
+    batch is big enough to amortise the array construction; validation of the shared test-cell parameters then
     happens once, in the :class:`~repro.multisite.batch.ScenarioBatch`
     constructor, instead of once per point.  Otherwise every point runs
     through the scalar backend.  Both paths are bit-identical (the kernel
@@ -250,9 +247,7 @@ def objective_values(
     This is the one batch-objective entry point: :func:`evaluate_batch`
     and the certificate scan in :mod:`repro.solvers.bounds` both use it.
     """
-    if ScenarioBatch is not None and spec.array_backend is not None and len(sites) >= 2:
-        import numpy as np
-
+    if spec.array_backend is not None and len(sites) >= 2:
         batch = ScenarioBatch(
             sites=np.array(sites, dtype=np.int64),
             channels_per_site=np.array(channels_per_site, dtype=np.int64),
@@ -294,7 +289,7 @@ def evaluate_batch(
 
     Memo hits are served straight from the cache; the misses are evaluated
     together through the objective's vectorised array backend (scalar
-    fallback when numpy or the array form is unavailable).  Results come
+    fallback for a single miss or an objective without an array form).  Results come
     back in input order and are bit-identical to per-point
     :func:`evaluate_point` calls -- the array forms perform the same
     IEEE-754 double operations in the same order, which the kernel

@@ -6,8 +6,10 @@ Pareto front) must be deterministic down to the row order, whatever order
 the results arrived in.
 """
 
+import itertools
 import json
 
+import numpy as np
 import pytest
 
 from repro.analysis import (
@@ -106,6 +108,14 @@ class TestRecords:
         )
         merged = load_records(store=store, jsonl_paths=[path])
         assert merged == records  # same scenarios from both sources: one row each
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_non_positive_workers_rejected(self, results, tmp_path, workers):
+        store = PackedResultStore(tmp_path)
+        for outcome in results:
+            store.put(outcome.scenario, outcome.result)
+        with pytest.raises(ConfigurationError, match="worker count must be positive"):
+            records_from_store(store, workers=workers)
 
     def test_load_records_needs_a_source(self):
         with pytest.raises(ConfigurationError, match="at least one source"):
@@ -235,13 +245,17 @@ class TestPareto:
         assert table.column("time") == ["9634", "1.114e+04", "6.225e+04"]
 
 
-class TestVectorisedParity:
-    """The numpy aggregation paths must be bit-identical to the scalar ones.
+_LEADING_AXES = [("time", "cost"), ("cost", "throughput"), ("sites", "time")]
 
-    Every view is rendered twice -- once normally (numpy, when installed)
-    and once with the module's numpy handle forced to ``None`` -- over a
-    deterministic pool of varied records including duplicates and ties.
-    The rendered text must match byte for byte.
+
+class TestVectorisedParity:
+    """The pure-Python aggregations equal vectorised numpy references.
+
+    Each reference below is written independently of the library code --
+    numpy reductions for the summaries and the best-per-SOC pick, and a
+    brute-force all-pairs dominance matrix for the Pareto front -- over a
+    deterministic pool of varied records including duplicates and exact
+    metric ties.  Rendered text and selected records must match exactly.
     """
 
     @pytest.fixture(scope="class")
@@ -269,32 +283,55 @@ class TestVectorisedParity:
                     lower_bound=rng.choice([None, rng.uniform(100.0, 90000.0)]),
                 )
             )
-        # Exact metric ties, so argmin/pareto tie-breaking is exercised.
+        # Exact metric ties, so first-minimum and Pareto tie-breaking is exercised.
         rows.append(rows[0].__class__(**{**rows[0].__dict__, "key": "e" * 16}))
         return tuple(rows)
 
-    def _scalar(self, monkeypatch):
-        import repro.analysis.analyze as analyze
-
-        monkeypatch.setattr(analyze, "_np", None)
+    @staticmethod
+    def _signed(records, name):
+        metric = METRICS[name]
+        values = np.array([metric.extract(record) for record in records])
+        return -values if metric.sense == "max" else values
 
     @pytest.mark.parametrize("metric", sorted(METRICS))
     @pytest.mark.parametrize("by", ["soc", "solver", "objective", "broadcast"])
-    def test_group_summary_identical(self, pool, metric, by, monkeypatch):
-        fast = group_summary(pool, by, metric).render()
-        self._scalar(monkeypatch)
-        assert group_summary(pool, by, metric).render() == fast
+    def test_group_summary_identical(self, pool, metric, by):
+        values = np.array([METRICS[metric].extract(record) for record in pool])
+        keys = [getattr(record, by) for record in pool]
+        rows = []
+        for group in sorted(set(keys), key=repr):
+            members = values[np.array([key == group for key in keys])]
+            rows.append(
+                f"{group} {len(members)} {members.min():.4g} "
+                f"{members.mean():.4g} {members.max():.4g}"
+            )
+        table = group_summary(pool, by, metric)
+        assert [" ".join(row) for row in table.rows] == rows
 
     @pytest.mark.parametrize("metric", sorted(METRICS))
-    def test_best_per_soc_identical(self, pool, metric, monkeypatch):
-        fast = best_per_soc(pool, metric)
-        self._scalar(monkeypatch)
-        assert best_per_soc(pool, metric) == fast
+    def test_best_per_soc_identical(self, pool, metric):
+        ordered = sorted(pool, key=AnalysisRecord.sort_key)
+        signed = self._signed(ordered, metric)
+        socs = np.array([record.soc for record in ordered])
+        expected = tuple(
+            ordered[int(np.flatnonzero(socs == soc)[np.argmin(signed[socs == soc])])]
+            for soc in sorted(set(socs.tolist()))
+        )
+        assert best_per_soc(pool, metric) == expected
 
     @pytest.mark.parametrize(
-        "axes", [("time", "cost"), ("cost", "throughput"), ("sites", "time")]
+        "axes",
+        # Every ordered metric pair, these three first so their ids stay axes0..2.
+        _LEADING_AXES
+        + [p for p in itertools.permutations(sorted(METRICS), 2) if p not in _LEADING_AXES],
     )
-    def test_pareto_front_identical(self, pool, axes, monkeypatch):
-        fast = pareto_front(pool, *axes)
-        self._scalar(monkeypatch)
-        assert pareto_front(pool, *axes) == fast
+    def test_pareto_front_identical(self, pool, axes):
+        x, y = (self._signed(pool, name) for name in axes)
+        # dominated[i]: some j is no worse in both metrics and better in one.
+        dominated = (
+            ((x[None, :] <= x[:, None]) & (y[None, :] < y[:, None]))
+            | ((x[None, :] < x[:, None]) & (y[None, :] <= y[:, None]))
+        ).any(axis=1)
+        kept = [index for index in range(len(pool)) if not dominated[index]]
+        kept.sort(key=lambda index: (x[index], y[index], pool[index].sort_key()))
+        assert pareto_front(pool, *axes) == tuple(pool[index] for index in kept)

@@ -359,8 +359,23 @@ class TestAnalyzeCommand:
         assert "at least one source" in capsys.readouterr().err
 
     def test_empty_store_reports_no_records(self, tmp_path, capsys):
+        (tmp_path / "fresh").mkdir()
         assert main(["analyze", "--store", str(tmp_path / "fresh")]) == 1
         assert "no records found" in capsys.readouterr().err
+
+    def test_missing_store_is_an_error_and_creates_nothing(self, tmp_path, capsys):
+        missing = tmp_path / "no" / "such" / "dir"
+        assert main(["analyze", "--store", str(missing)]) == 1
+        assert "analyze: " + str(missing) + " is not a store directory" in (
+            capsys.readouterr().err
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_non_positive_workers_rejected(self, sweep_artifacts, capsys, workers):
+        store_dir, _ = sweep_artifacts
+        assert main(["analyze", "--store", str(store_dir), "--workers", workers]) == 1
+        assert "worker count must be positive" in capsys.readouterr().err
 
 
 class TestBenchCompareFlag:

@@ -26,7 +26,8 @@ import pytest
 from repro.api.scenario import Scenario
 from repro.api.testcell import reference_test_cell
 from repro.core.units import kilo_vectors, mega_vectors
-from repro.objectives.registry import objective_names
+from repro.multisite.batch import ScenarioBatch
+from repro.objectives.registry import get_objective, objective_names
 from repro.optimize.channels import max_channels_per_site
 from repro.optimize.config import Objective, OptimizationConfig
 from repro.optimize.step1 import run_step1
@@ -63,8 +64,6 @@ def _step1_for(soc_name, broadcast=False, **config_kwargs):
 
 def _scalar_points(step1, site_counts, objective):
     """Per-point scalar evaluation, bypassing the batch path and the memo."""
-    from repro.objectives.registry import get_objective
-
     spec = get_objective(objective)
     values = []
     current = step1.architecture
@@ -297,3 +296,29 @@ class TestScenarioGridSanity:
         batch = kernel.evaluate_points(step1, site_counts, "cost_per_good_die")
         scalar = _scalar_points(step1, site_counts, "cost_per_good_die")
         assert [point.objective for point in batch] == scalar
+
+
+class TestArrayPathIsLive:
+    """The shipped configuration routes batches through the array backends."""
+
+    @pytest.mark.parametrize(
+        "objective", ["throughput", "test_time", "cost_per_good_die", "channel_budget"]
+    )
+    def test_builtin_objective_has_array_backend(self, objective):
+        assert get_objective(objective).array_backend is not None
+
+    def test_multi_point_values_go_through_scenario_batch(self, monkeypatch):
+        built = []
+
+        def spy(**fields):
+            built.append(ScenarioBatch(**fields))
+            return built[-1]
+
+        monkeypatch.setattr(kernel, "ScenarioBatch", spy)
+        cell = reference_test_cell(channels=256, depth_m=0.0625)
+        args = (cell.ate, cell.probe_station, OptimizationConfig(), get_objective("throughput"))
+        batched = kernel.objective_values([1, 2, 3], [64, 64, 64], [0.1, 0.2, 0.3], *args)
+        assert len(built) == 1 and len(batched) == 3
+        # A batch of one stays on the scalar path, with the same value.
+        assert kernel.objective_values([2], [64], [0.2], *args) == batched[1:2]
+        assert len(built) == 1

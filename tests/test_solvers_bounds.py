@@ -6,6 +6,7 @@ exhaustive oracle, the certificate must never be beaten by the true optimum
 report negative "optimality gaps" all over the analysis layer.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -20,7 +21,7 @@ from repro.optimize.channels import max_channels_per_site
 from repro.optimize.config import Objective, OptimizationConfig
 from repro.soc.catalog import resolve_catalog_soc
 from repro.soc.soc import Soc
-from repro.solvers import bounds, evaluate
+from repro.solvers import bounds
 from repro.solvers.bounds import (
     certificate,
     problem_certificate,
@@ -292,7 +293,13 @@ class TestCertificateParity:
         self._assert_parity(cells, objective)
 
     def test_scalar_fallback_matches_scalar_oracle(self, cells, objective, monkeypatch):
-        monkeypatch.setattr(evaluate, "ScenarioBatch", None)
+        # An objective registered without an array backend takes the
+        # kernel's per-point scalar path.
+        monkeypatch.setattr(
+            bounds,
+            "get_objective",
+            lambda name: dataclasses.replace(get_objective(name), array_backend=None),
+        )
         self._assert_parity(cells, objective)
 
     def test_zero_yield_certifies_no_cost(self, tiny_soc, small_ate, probe):
