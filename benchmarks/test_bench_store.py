@@ -14,11 +14,8 @@ from __future__ import annotations
 import time
 
 from repro.api.engine import Engine, results_digest
-from repro.bench.runner import (
-    bench_sweep_grid,
-    clear_computation_caches,
-    synthetic_sweep_grid,
-)
+from repro.bench.runner import bench_sweep_grid, synthetic_sweep_grid
+from repro.solvers.evaluate import drop_process_caches
 from repro.store.packed import PackedResultStore
 
 from conftest import run_once
@@ -36,7 +33,7 @@ def test_warm_store_sweep_at_least_2x_faster(benchmark, tmp_path):
     store_dir = tmp_path / "store"
     # Earlier benchmarks in the session warm the process-wide computation
     # caches; drop them so the cold leg actually computes.
-    clear_computation_caches()
+    drop_process_caches()
     cold_seconds, cold_results, cold_info = _timed_sweep(PackedResultStore(store_dir))
     assert cold_info.store_hits == 0
 

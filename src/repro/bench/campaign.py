@@ -4,7 +4,8 @@
 stack exists for -- that a killed campaign costs only its unfinished
 scenarios.  Over a multi-SOC grid (a :func:`~repro.soc.catalog.
 synthetic_family` sized by ``smoke``) it times three runs, one bench row
-each:
+each (each row the fastest of :data:`LEG_REPEATS` interleaved
+repetitions):
 
 1. ``campaign cold`` -- a fresh store-backed engine streams the full grid;
 2. ``campaign interrupted`` -- a second fresh store consumes only part of
@@ -14,11 +15,18 @@ each:
    the full grid again: the finished part is served from disk, only the
    remainder computes.
 
+Every leg starts process-cold: :func:`~repro.solvers.evaluate.
+drop_process_caches` empties the kernel memo, the wrapper-design caches
+and the certificate cache before it, so the resume leg -- like a
+restarted process -- recomputes its remainder in full and reads the
+finished part from disk, instead of replaying the earlier legs' memo.
+
 The resumed run must produce the same order-insensitive result digest as
 the cold run (bit-identical values; checked in the run) and recompute
 only the abandoned scenarios (the resume row's engine counters); because
-it skips the finished majority it is several times faster than the cold
-run -- ``benchmarks/test_bench_campaign.py`` pins the >= 2x floor.
+it skips the finished majority it runs 2.5-3x faster than the cold run --
+``benchmarks/test_bench_campaign.py`` pins the >= 2x floor.  (Not 4x:
+the remainder pays its SOCs' wrapper designs and certificates cold.)
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ from repro.bench.runner import check_parity, timed_row
 from repro.core.exceptions import ConfigurationError
 from repro.core.units import mega_vectors
 from repro.soc.catalog import synthetic_family
+from repro.solvers.evaluate import drop_process_caches
 
 #: Seed of the first family member the campaign sweeps.
 CAMPAIGN_SEED = 4242
@@ -43,6 +52,13 @@ SMOKE_FAMILY = (3, 5)
 
 #: ATE channel axis of the campaign grid.
 CAMPAIGN_CHANNELS = (128, 256)
+
+#: Timed repetitions of each leg; a leg's row is its fastest repetition.
+#: The legs last ~0.05-0.2 s, so a neighbour process stealing the CPU for
+#: part of one leg would otherwise decide the resume ratio; interleaving
+#: the repetitions and keeping each leg's minimum measures every leg under
+#: the same, quietest conditions.
+LEG_REPEATS = 5
 
 
 def campaign_grid(smoke: bool = False) -> SweepGrid:
@@ -76,13 +92,15 @@ def run_campaign(
 ) -> list[dict[str, Any]]:
     """Run the cold / interrupted / resumed campaign; return its three rows.
 
-    ``work_dir`` receives two store directories (``cold/``, ``resume/``);
+    The three legs run :data:`LEG_REPEATS` times, interleaved, and each
+    leg's row is its fastest repetition.  ``work_dir`` receives two store
+    directories per repetition (``run-<i>/cold``, ``run-<i>/resume``);
     the caller owns cleanup (the bench runner uses a temp directory).
 
     Raises
     ------
     ReproError
-        When the resumed run's digest differs from the cold run's.
+        When a resumed run's digest differs from its cold run's.
     """
     work_dir = Path(work_dir)
     grid = campaign_grid(smoke)
@@ -91,22 +109,27 @@ def run_campaign(
     if interrupt_after >= total:
         raise ConfigurationError("campaign grid too small to interrupt")
 
-    def leg(workload: str, store: str, limit: int | None = None) -> dict[str, Any]:
+    def leg(workload: str, store: Path, limit: int | None = None) -> dict[str, Any]:
         # Every engine gets the same worker setting, so the resume speedup
         # measures resumption alone, not a parallelism difference.
         params = {"scenarios": total, "workers": workers}
         if limit is not None:
             params["after"] = limit
-        engine = Engine(store=work_dir / store, workers=workers)
+        engine = Engine(store=store, workers=workers)
+        drop_process_caches()
         row, _ = timed_row(
             workload, params, lambda: _stream(engine, grid, limit), engine, sweep_digest
         )
         return row
 
-    cold = leg("campaign cold", "cold")
-    # A second cold store, abandoned after `interrupt_after` results --
-    # the finished scenarios are on disk, the in-flight rest is lost.
-    interrupted = leg("campaign interrupted", "resume", interrupt_after)
-    resume = leg("campaign resume", "resume")
-    check_parity("campaign cold vs resumed digests", cold["digest"], resume["digest"])
-    return [cold, interrupted, resume]
+    repetitions = []
+    for repeat in range(LEG_REPEATS):
+        run_dir = work_dir / f"run-{repeat}"
+        cold = leg("campaign cold", run_dir / "cold")
+        # A second cold store, abandoned after `interrupt_after` results --
+        # the finished scenarios are on disk, the in-flight rest is lost.
+        interrupted = leg("campaign interrupted", run_dir / "resume", interrupt_after)
+        resume = leg("campaign resume", run_dir / "resume")
+        check_parity("campaign cold vs resumed digests", cold["digest"], resume["digest"])
+        repetitions.append((cold, interrupted, resume))
+    return [min(rows, key=lambda row: row["seconds"]) for rows in zip(*repetitions)]

@@ -133,24 +133,6 @@ def bench_sweep_grid(
     )
 
 
-def clear_computation_caches() -> None:
-    """Drop every process-wide computation cache (kernel memo, wrapper caches).
-
-    Cold-path timings are only meaningful when earlier work in the same
-    process cannot leak in through the evaluation kernel's memo or the
-    wrapper-design caches.  The bench's cold legs (and the store benchmark
-    tests) call this before timing; persistent stores are untouched --
-    store warmth is a property of the directory, not the process.
-    The kernel's cumulative counters are kept -- dropping only the memo
-    means the rows' kernel counter deltas never go backwards.
-    """
-    from repro.wrapper import combine, pareto
-
-    evaluate_kernel.drop_memo()
-    combine._cached_test_time.cache_clear()
-    pareto._cached_pareto.cache_clear()
-
-
 def _kernel_delta(
     before: "evaluate_kernel.KernelCacheInfo",
     after: "evaluate_kernel.KernelCacheInfo",
@@ -295,7 +277,7 @@ def _bench_synthetic_sweep(
     number measures raw solver + kernel throughput, run to run.
     """
     grid = synthetic_sweep_grid(smoke)
-    clear_computation_caches()
+    evaluate_kernel.drop_process_caches()
     engine = Engine(workers=workers)
     row, _ = timed_row(
         "synthetic sweep",
@@ -335,7 +317,7 @@ def _bench_fanout(
     rows = []
     for chunk in dict.fromkeys((1, chunk_size)):
         plan = SweepPlan.build(grid, chunk_size=chunk, workers=pool_workers)
-        clear_computation_caches()
+        evaluate_kernel.drop_process_caches()
         engine = Engine()
         row, _ = timed_row(
             "fanout",

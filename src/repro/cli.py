@@ -17,8 +17,9 @@ Installed as ``repro-multisite`` (see ``setup.py``) and runnable as
 * ``solvers``    -- list the registered solver backends;
 * ``objectives`` -- list the registered optimisation objectives;
 * ``store``      -- inspect and maintain a persistent result store
-  (``store info``, ``store migrate`` of a legacy directory to the packed
-  format, ``store compact``, ``store reindex``);
+  (``store info``, ``store migrate`` of a legacy directory or of format-1
+  records to the current packed format, ``store compact``, ``store
+  reindex``);
 * ``serve``      -- run the campaign service daemon: lease sweep shards to
   workers over HTTP/JSON and collect their records into one store;
 * ``work``       -- the matching worker loop: lease shards from a
@@ -742,6 +743,7 @@ def _add_store_parser(
         "migrate",
         parents=[store_options],
         help="convert a legacy one-file-per-record store to the packed format "
+        "and rewrite format-1 records in the current format "
         "(digest-verified; in place unless --dest is given)",
     )
     migrate.add_argument(
@@ -770,7 +772,13 @@ def _add_store_parser(
 def _run_store_info(store: PackedResultStore) -> int:
     print(f"store: {store.root}")
     print("backend: packed")
-    print(f"format: {STORE_FORMAT}")
+    declared = store.format
+    print(f"format: {declared if declared is not None else '?'}")
+    if declared != STORE_FORMAT:
+        print(
+            f"  records of other formats than {STORE_FORMAT} read as misses "
+            "(run 'repro store migrate' to rewrite them)"
+        )
     print(f"records: {len(store)}")
     print(f"bytes: {store.total_bytes()}")
     stats = store.segment_stats()

@@ -385,8 +385,8 @@ def evaluate_points(
     # A memo hit may return a point computed from an *equal but distinct*
     # architecture earlier in the process.  Rebind such points to this
     # call's architectures so every point of one Step-2 result shares the
-    # caller's object graph (the store codec's interning relies on the
-    # SOC appearing once per result, by identity).
+    # caller's object graph (the store codec finds a result's architecture
+    # rows and its one SOC by identity before it falls back to equality).
     return tuple(
         point
         if point.architecture is architecture
@@ -456,10 +456,31 @@ def cache_info() -> KernelCacheInfo:
 def drop_memo() -> None:
     """Drop every memoised evaluation but keep the cumulative counters.
 
-    The bench runner uses this to force a cold compute leg without making
-    the process-wide counter deltas go backwards mid-report.
+    :func:`drop_process_caches` uses this to force a cold compute leg
+    without making the process-wide counter deltas go backwards
+    mid-report.
     """
     _memo.clear()
+
+
+def drop_process_caches() -> None:
+    """Drop every process-wide computation cache, so the next run is cold.
+
+    Clears the kernel memo (:func:`drop_memo`, counters kept), the
+    wrapper-design caches (``combine._cached_test_time`` and
+    ``pareto._cached_pareto``) and the lower-bound certificate cache
+    (``bounds._certificate``).  Every cold bench leg calls this one
+    function, so no leg can leak warm work from an earlier one in the same
+    process.  Persistent stores are untouched: store warmth is a property
+    of the directory, not of the process.
+    """
+    from repro.solvers import bounds
+    from repro.wrapper import combine, pareto
+
+    drop_memo()
+    combine._cached_test_time.cache_clear()
+    pareto._cached_pareto.cache_clear()
+    bounds._certificate.cache_clear()
 
 
 def clear_cache() -> None:

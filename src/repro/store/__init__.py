@@ -13,9 +13,11 @@ but every new process starts cold.  This package adds the tier below it:
 * :func:`~repro.store.factory.open_store` /
   :func:`~repro.store.factory.migrate_store` -- the one way to open a
   store by path, and digest-verified migration of legacy
-  one-file-per-record directories into the packed format;
-* :mod:`~repro.store.serialize` -- the exact JSON codec for the result
-  graph (registered frozen dataclasses only, with sub-object interning).
+  one-file-per-record directories and format-1 records into the current
+  packed format;
+* :mod:`~repro.store.serialize` -- the exact JSON codec for results: a
+  Step-2 column layout for ``TwoStepResult`` payloads over a graph codec
+  for registered frozen dataclasses (with sub-object interning).
 
 Attach a store to an engine with ``Engine(store=...)`` (or ``--store DIR``
 on the CLI): scenario results computed in any process using the same

@@ -2,8 +2,9 @@
 
 ``repro analyze`` needs ~12 scalar columns per record (the
 :class:`~repro.analysis.records.AnalysisRecord` fields), but a store
-record's payload is the full encoded ``TwoStepResult`` graph -- ~27 KB of
-JSON whose decode cost dwarfs the aggregation it feeds.  This module
+record's payload is a whole encoded ``TwoStepResult`` -- ~12 KB of JSON
+even in the format-2 column layout, whose decode cost dwarfs the
+aggregation it feeds.  This module
 defines a **columnar sidecar** holding exactly those columns, written at
 ``put`` time when the producer still holds the live objects (so nothing is
 ever decoded to build it) and scanned at analysis time instead of the

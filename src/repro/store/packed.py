@@ -11,7 +11,7 @@ million-scenario campaigns cost neither inodes nor directory scans.
 Layout of a packed store directory::
 
     root/
-      packed.manifest      # {"backend": "packed", "format": 1, ...}
+      packed.manifest      # {"backend": "packed", "format": 2, ...}
       index.sqlite         # records(key PRIMARY KEY, segment, offset, ...)
       segments/
         seg-<pid>-<n>.jsonl
@@ -210,6 +210,22 @@ class PackedResultStore:
             encoding="utf-8",
         )
         return manifest
+
+    @property
+    def format(self) -> int | None:
+        """The record format the manifest declares; ``None`` when it is unreadable.
+
+        Writers of this version always write :data:`~repro.store.
+        result_store.STORE_FORMAT` records; a manifest naming an older
+        format means ``repro store migrate`` has not rewritten the store's
+        older records yet (they read as misses until it has).
+        """
+        try:
+            manifest = json.loads((self._root / PACKED_MANIFEST).read_text(encoding="utf-8"))
+        except (OSError, ValueError):
+            return None
+        value = manifest.get("format") if isinstance(manifest, dict) else None
+        return value if type(value) is int else None
 
     def _connect(self) -> sqlite3.Connection:
         """The store's SQLite connection (lazy; guarded by ``self._lock``)."""
@@ -503,6 +519,23 @@ class PackedResultStore:
                 "SELECT key, segment, offset, length FROM records ORDER BY key"
             ).fetchall()
 
+    def read_records(self) -> "Iterator[tuple[str, dict | None]]":
+        """Yield every index row as ``(key, parsed record dict)``, sorted by key.
+
+        The record is ``None`` when its segment line is missing, not JSON,
+        or carries another key than its index row.  No payload is decoded:
+        this is the raw read of maintenance passes (:meth:`compact`, the
+        format migration).
+        """
+        for key, segment, offset, length in self._index_rows():
+            try:
+                record = self._read_row(key, segment, offset, length)
+                if record_key(record) != key:
+                    raise StoreError("segment line key does not match its index row")
+            except (ReproError, KeyError, TypeError, ValueError):
+                record = None
+            yield key, record
+
     def scan(self) -> tuple[StoreEntry, ...]:
         """List every readable record, sorted by key.
 
@@ -648,7 +681,6 @@ class PackedResultStore:
         writers should be stopped first -- records they append to an old
         segment during the rewrite window would be dropped with it.
         """
-        rows = self._index_rows()
         segments_before = self._segment_names()
         bytes_before = 0
         for name in segments_before:
@@ -658,15 +690,11 @@ class PackedResultStore:
                 pass
         keep: list[dict] = []
         orphans_dropped = 0
-        for key, segment, offset, length in rows:
-            try:
-                record = self._read_row(key, segment, offset, length)
-                if record_key(record) != key:
-                    raise StoreError("segment line key does not match its index row")
-            except (ReproError, KeyError, TypeError, ValueError):
+        for _, record in self.read_records():
+            if record is None:
                 orphans_dropped += 1
-                continue
-            keep.append(record)
+            else:
+                keep.append(record)
         with self._lock:
             # Retire this instance's current append segment so the rewrite
             # goes to a fresh file that survives the old-file sweep.

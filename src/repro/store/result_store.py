@@ -17,8 +17,20 @@ process:
 3. the store memoises scenario results **on disk**, amortising repeated
    CLI invocations, CI runs and benchmark sessions.
 
+A record is a small JSON object: ``format``, ``key``, writer metadata,
+the ``scenario`` identity, the ``analysis`` columns, and the ``result``
+payload.  Format 2 writes the payload in the Step-2 column layout of
+:mod:`repro.store.serialize` -- the Step-1 result once, then one row per
+distinct widened architecture and two short per-point columns -- instead
+of format 1's whole encoded result graph with one ``SitePoint``
+(scenario, timing and widened architecture) per evaluated site count.
+That cut the perfbench grid's records from ~80 KB to ~12 KB each.
+
 Reads are corruption-tolerant: a record that fails :func:`decode_record`
-counts as a miss, never as an error or a wrong result.
+counts as a miss, never as an error or a wrong result.  A record of
+another format -- format 1 included -- is such a miss too, so the read
+path keeps one decoder; ``repro store migrate``
+(:func:`~repro.store.factory.migrate_store`) rewrites format-1 records.
 
 Earlier releases wrote one ``<key>.json`` file per record instead;
 :class:`ResultStore` is the read-only view of such a directory that
@@ -35,7 +47,7 @@ from typing import TYPE_CHECKING, Iterable
 
 from repro.core.exceptions import ConfigurationError, ReproError, StoreError
 from repro.objectives.registry import DEFAULT_OBJECTIVE
-from repro.store.serialize import decode_result, encode_result
+from repro.store.serialize import decode_graph, decode_result, encode_result
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.scenario import Scenario
@@ -43,7 +55,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Version of the on-disk record layout.  Bump on incompatible changes;
 #: records written under another format version are treated as misses.
-STORE_FORMAT = 1
+#: Format 1 stored the whole result graph; format 2 stores the Step-2
+#: column layout (see :mod:`repro.store.serialize`).
+STORE_FORMAT = 2
+
+#: The previous record format, which ``repro store migrate`` rewrites.
+LEGACY_FORMAT = 1
 
 #: File-name suffix of the records of a legacy directory store.
 RECORD_SUFFIX = ".json"
@@ -65,7 +82,8 @@ def make_record(scenario: "Scenario", result: "TwoStepResult") -> dict:
     The certificate cache is keyed on the full ATE, so the points of one
     channel/depth sweep never share an entry: each record pays for one
     batched certificate scan (:mod:`repro.solvers.bounds`) and one
-    plan-driven payload encode (:mod:`repro.store.serialize`).
+    payload encode in the Step-2 column layout
+    (:mod:`repro.store.serialize`).
     """
     from repro import __version__
     from repro.solvers.bounds import scenario_lower_bound
@@ -146,6 +164,34 @@ def decode_record(record: object, expected_key: str | None = None) -> "TwoStepRe
             f"record payload is a {type(result).__name__}, not a TwoStepResult"
         )
     return result
+
+
+def upgrade_record(record: dict) -> dict:
+    """``record`` in the current format: a :data:`LEGACY_FORMAT` record is rewritten.
+
+    The format-1 payload (a whole result graph) is decoded through the
+    graph codec and re-encoded by :func:`encode_result` into a new dict;
+    every other field -- key, scenario identity, writer metadata, the
+    ``analysis`` block -- is carried over unchanged, so analysis over the
+    rewritten record is identical.  A record of any other format is
+    returned as it is.  ``repro store migrate`` is the one caller.
+
+    Raises
+    ------
+    StoreError
+        When a format-1 payload does not decode into a
+        :class:`~repro.optimize.result.TwoStepResult`.
+    """
+    from repro.optimize.result import TwoStepResult
+
+    if record.get("format") != LEGACY_FORMAT:
+        return record
+    result = decode_graph(record["result"])
+    if not isinstance(result, TwoStepResult):
+        raise StoreError(
+            f"record payload is a {type(result).__name__}, not a TwoStepResult"
+        )
+    return {**record, "format": STORE_FORMAT, "result": encode_result(result)}
 
 
 def entry_from_record(record: object, path: Path, size_bytes: int) -> StoreEntry:

@@ -275,7 +275,7 @@ class TestStoreInfoCommand:
         assert main(["store", "info", "--store", str(store_dir)]) == 0
         out = capsys.readouterr().out
         assert "records: 4" in out
-        assert "format: 1" in out
+        assert "format: 2" in out
         assert "by SOC: synthetic:7:4=2, synthetic:8:4=2" in out
         assert "by solver: goel05=4" in out
         assert "by objective: throughput=4" in out

@@ -49,6 +49,26 @@ class TestKernel:
         assert after.hits == before.hits + 1
         assert after.misses == before.misses
 
+    def test_drop_process_caches_empties_every_cache(self, tiny_soc, small_ate, probe):
+        from repro.api import Engine, Scenario, TestCell
+        from repro.solvers import bounds
+        from repro.store.result_store import make_record
+        from repro.wrapper import combine, pareto
+
+        scenario = Scenario(soc=tiny_soc, test_cell=TestCell(ate=small_ate, probe_station=probe))
+        # Solving fills the kernel memo and the wrapper caches; building the
+        # record fills the certificate cache.
+        make_record(scenario, Engine().run(scenario).result)
+        caches = (combine._cached_test_time, pareto._cached_pareto, bounds._certificate)
+        assert all(cache.cache_info().currsize for cache in caches)
+        assert evaluate.cache_info().currsize
+        before = evaluate.cache_info()
+        evaluate.drop_process_caches()
+        after = evaluate.cache_info()
+        assert after.currsize == 0
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+        assert not any(cache.cache_info().currsize for cache in caches)
+
     def test_step2_sweep_populates_the_kernel_cache(self, step1):
         evaluate.clear_cache()
         result = run_step2(step1)

@@ -177,9 +177,48 @@ class TestCorruptionTolerance:
         store = self._seed(tmp_path, scenario)
 
         def edit(record):
-            record["result"]["fields"]["points"] = {"__tuple__": [{"__ref__": 999}]}
+            columns = record["result"]["__two_step__"]
+            columns["arch"][0] = len(columns["widths"])
 
         self._tamper(store, scenario, edit)
+        assert store.get(scenario) is None
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda columns: columns["arch"].__setitem__(0, len(columns["widths"])),
+            lambda columns: columns["arch"].__setitem__(0, -1),
+            lambda columns: columns["widths"][0].append(1),
+            lambda columns: columns["thr"].pop(),
+            lambda columns: columns["widths"][0].__setitem__(0, 0),
+            lambda columns: columns.update(best=len(columns["arch"])),
+            lambda columns: columns.update(top=len(columns["arch"]) - 1),
+            lambda columns: columns.pop("mtime"),
+        ],
+        ids=[
+            "arch-index-past-end", "arch-index-negative", "width-vector-too-long",
+            "thr-shorter-than-arch", "width-makes-invalid-group", "best-out-of-range",
+            "sites-below-one", "missing-column",
+        ],
+    )
+    def test_tampered_columns_are_miss(self, tmp_path, scenario, edit):
+        """Every format-2 column defect ends in a corrupt-record miss."""
+        store = self._seed(tmp_path, scenario)
+        self._tamper(store, scenario, lambda record: edit(record["result"]["__two_step__"]))
+        assert store.get(scenario) is None
+        assert store.info().corrupt == 1
+
+    def test_format_1_record_is_miss(self, tmp_path, scenario):
+        """A record of the previous format reads as a miss until migrated."""
+        from repro.store.serialize import encode_graph
+
+        store = self._seed(tmp_path, scenario)
+        result = store.get(scenario)
+        self._tamper(
+            store,
+            scenario,
+            lambda record: record.update(format=1, result=encode_graph(result)),
+        )
         assert store.get(scenario) is None
 
     def test_wrong_payload_type_is_miss(self, tmp_path, scenario):

@@ -24,7 +24,7 @@ import sys
 import textwrap
 from pathlib import Path
 
-from repro.store import PackedResultStore
+from repro.store import STORE_FORMAT, PackedResultStore
 
 #: Records each writer process writes in the stress runs.
 RECORDS_PER_WRITER = 300
@@ -32,13 +32,13 @@ RECORDS_PER_WRITER = 300
 _WRITER_SCRIPT = textwrap.dedent(
     """
     import json, sys
-    from repro.store import PackedResultStore
+    from repro.store import STORE_FORMAT, PackedResultStore
 
     root, start, count, salt = sys.argv[1:5]
     store = PackedResultStore(root)
     for index in range(int(start), int(start) + int(count)):
         record = {
-            "format": 1,
+            "format": STORE_FORMAT,
             "key": f"{index:064x}",
             "scenario": {"soc": f"soc{index % 5}", "solver": "goel05",
                          "objective": "throughput"},
@@ -89,7 +89,7 @@ class TestConcurrentWriters:
     def test_disjoint_keys_no_lost_updates(self, tmp_path):
         root = tmp_path / "store"
         PackedResultStore(root).put_record(
-            {"format": 1, "key": "f" * 64, "result": {"seed": True}}
+            {"format": STORE_FORMAT, "key": "f" * 64, "result": {"seed": True}}
         )  # initialise the layout before the writers race
         writers = [
             _spawn(_WRITER_SCRIPT, str(root),
@@ -108,7 +108,7 @@ class TestConcurrentWriters:
     def test_same_keys_one_complete_winner(self, tmp_path):
         root = tmp_path / "store"
         PackedResultStore(root).put_record(
-            {"format": 1, "key": "f" * 64, "result": {"seed": True}}
+            {"format": STORE_FORMAT, "key": "f" * 64, "result": {"seed": True}}
         )
         writers = [
             _spawn(_WRITER_SCRIPT, str(root), "0",
@@ -135,7 +135,7 @@ class TestConcurrentWriters:
     def test_writer_reader_race_never_errors(self, tmp_path):
         root = tmp_path / "store"
         PackedResultStore(root).put_record(
-            {"format": 1, "key": "f" * 64, "result": {"seed": True}}
+            {"format": STORE_FORMAT, "key": "f" * 64, "result": {"seed": True}}
         )
         writer = _spawn(_WRITER_SCRIPT, str(root), "0",
                         str(RECORDS_PER_WRITER), "writer0")

@@ -12,6 +12,7 @@ from repro.core.exceptions import ConfigurationError, StoreError
 from repro.core.units import kilo_vectors
 from repro.store import (
     PACKED_MANIFEST,
+    STORE_FORMAT,
     PackedResultStore,
     is_packed,
     make_record,
@@ -20,7 +21,7 @@ from repro.store import (
 )
 from repro.store.packed import INDEX_FILE
 from repro.store.result_store import RECORD_SUFFIX, ResultStore
-from repro.store.serialize import encode_result
+from repro.store.serialize import encode_graph, encode_result
 
 
 @pytest.fixture(scope="module")
@@ -208,6 +209,101 @@ class TestMigration:
         assert info.misses == 0
 
 
+def format_1_record(scenario, result):
+    """The record a format-1 writer made: the same fields, the whole graph as payload."""
+    return dict(make_record(scenario, result), format=1, result=encode_graph(result))
+
+
+def format_1_packed(root, solved):
+    """A packed store as a format-1 writer left it (manifest and records)."""
+    store = PackedResultStore(root)
+    store.put_records([format_1_record(scenario, result) for scenario, result in solved])
+    store.close()
+    (root / PACKED_MANIFEST).write_text(
+        json.dumps({"backend": "packed", "format": 1, "created_at": 0.0}) + "\n"
+    )
+    return root
+
+
+def format_1_legacy(root, solved):
+    """A legacy directory store of format-1 records."""
+    root.mkdir(parents=True)
+    for scenario, result in solved:
+        record = format_1_record(scenario, result)
+        (root / f"{record['key']}{RECORD_SUFFIX}").write_text(json.dumps(record))
+    return root
+
+
+class TestFormatMigration:
+    """``repro store migrate`` rewrites format-1 records as format 2."""
+
+    @pytest.mark.parametrize("layout", ["packed", "legacy"])
+    def test_migrate_converts_format_1(self, tmp_path, solved, capsys, layout):
+        direct = PackedResultStore(tmp_path / "direct")
+        for scenario, result in solved:
+            direct.put(scenario, result)
+        direct.close()
+        assert main(["analyze", "--store", str(direct.root)]) == 0
+        expected = capsys.readouterr().out
+
+        build = format_1_packed if layout == "packed" else format_1_legacy
+        root = build(tmp_path / "store", solved)
+        if layout == "packed":
+            before = PackedResultStore(root)
+            assert all(before.get(scenario) is None for scenario, _ in solved)
+            before.close()
+            assert main(["store", "info", "--store", str(root)]) == 0
+            assert "format: 1" in capsys.readouterr().out
+
+        assert main(["store", "migrate", "--store", str(root)]) == 0
+        out = capsys.readouterr().out
+        assert f"migrated {root} in place: {len(solved)} record(s)" in out
+        old_bytes, new_bytes = (
+            int(value)
+            for value in next(
+                line for line in out.splitlines() if line.startswith("bytes:")
+            ).split()[1::2]
+        )
+        assert 0 < new_bytes < old_bytes
+
+        migrated = open_store(root)
+        for scenario, result in solved:
+            assert migrated.get(scenario) == result
+        assert migrated.info().corrupt == 0
+        migrated.close()
+        assert main(["store", "info", "--store", str(root)]) == 0
+        info = capsys.readouterr().out
+        assert "format: 2" in info
+        assert "store migrate" not in info
+        assert main(["analyze", "--store", str(root)]) == 0
+        assert capsys.readouterr().out == expected
+        with pytest.raises(ConfigurationError, match="already"):
+            migrate_store(root)
+
+    def test_packed_migration_to_destination_keeps_source(self, tmp_path, solved):
+        source = format_1_packed(tmp_path / "source", solved)
+        report = migrate_store(source, destination=tmp_path / "dest")
+        assert (report.migrated, report.corrupt, report.in_place) == (len(solved), 0, False)
+        assert PackedResultStore(source).format == 1
+        dest = PackedResultStore(tmp_path / "dest")
+        assert dest.format == 2
+        for scenario, result in solved:
+            assert dest.get(scenario) == result
+
+    def test_unreadable_format_1_payload_is_left_behind(self, tmp_path, solved):
+        root = format_1_packed(tmp_path / "store", solved)
+        broken = dict(format_1_record(*solved[0]), key="e" * 64, result={"__ref__": 7})
+        store = PackedResultStore(root)
+        store.put_record(broken)
+        store.close()
+        report = migrate_store(root)
+        assert (report.migrated, report.corrupt) == (len(solved), 1)
+        after = PackedResultStore(root)
+        assert len(after) == len(solved) + 1
+        for scenario, result in solved:
+            assert after.get(scenario) == result
+
+
 class TestOpenStore:
     def test_detects_backends(self, tmp_path, solved):
         """Packed layouts open; legacy layouts are detected and refused."""
@@ -299,7 +395,7 @@ class TestPackedScale:
         for index in range(self.RECORDS):
             batch.append(
                 {
-                    "format": 1,
+                    "format": STORE_FORMAT,
                     "key": f"{index:064x}",
                     "scenario": {"soc": f"soc{index % 7}", "solver": "goel05",
                                  "objective": "throughput"},

@@ -14,7 +14,9 @@ from repro.optimize.two_step import optimize_multisite
 from repro.soc.catalog import resolve_catalog_soc
 from repro.store import serialize
 from repro.store.serialize import (
+    TWO_STEP,
     decode_result,
+    encode_graph,
     encode_result,
     register_storable,
     storable_names,
@@ -125,9 +127,11 @@ class TestErrors:
 
     def test_tampered_fields_fail_validation(self, tiny_result):
         encoded = json.loads(json.dumps(encode_result(tiny_result)))
-        # Corrupt the E-RPCT wrapper into a structurally invalid value; the
-        # dataclass __post_init__ validation must reject it on decode.
-        encoded["fields"]["step1"]["fields"]["erpct"]["fields"]["external_inputs"] = -5
+        # Corrupt the E-RPCT wrapper of the column layout's Step-1 graph
+        # into a structurally invalid value; the dataclass __post_init__
+        # validation must reject it on decode.
+        step1 = encoded[TWO_STEP]["step1"]
+        step1["fields"]["erpct"]["fields"]["external_inputs"] = -5
         with pytest.raises(Exception):
             decode_result(encoded)
 
@@ -168,7 +172,8 @@ class _ReferenceEncoder:
     """The recursive encoder the plan-driven one replaced, kept as an oracle.
 
     Walks an ``isinstance`` chain and calls :func:`dataclasses.fields` on
-    every dataclass node; the shipped encoder must produce the same bytes.
+    every dataclass node; the shipped graph codec must produce the same
+    bytes.
     """
 
     def __init__(self):
@@ -239,7 +244,7 @@ class TestEncodePlans:
         )
         # Twice: the first encode builds the plans, the second reuses them.
         for _ in range(2):
-            assert _wire(encode_result(result)) == _wire(_ReferenceEncoder().encode(result))
+            assert _wire(encode_graph(result)) == _wire(_ReferenceEncoder().encode(result))
 
     def test_scalars_tuples_and_enums_match_reference_encoder(self):
         value = (1, 2.5, "x", None, True, (Objective.THROUGHPUT, ()), OptimizationConfig())
@@ -266,3 +271,118 @@ class TestEncodePlans:
         for _ in range(2):
             with pytest.raises(StoreError, match="not registered"):
                 encode_result(Soc(name="impostor"))
+
+
+#: Configs of the column-layout oracle: the defaults, broadcast, a bounded
+#: site range (``min_sites``/``max_sites``) and the abort-on-fail unique
+#: throughput variant.
+ORACLE_CONFIGS = (
+    OptimizationConfig(),
+    OptimizationConfig(broadcast=True),
+    OptimizationConfig(min_sites=2, max_sites=9),
+    OptimizationConfig(
+        objective=Objective.UNIQUE_THROUGHPUT, abort_on_fail=True, manufacturing_yield=0.8
+    ),
+)
+
+
+class TestColumnLayout:
+    """Format-2 payloads against freshly computed results (the oracle)."""
+
+    @pytest.mark.parametrize(
+        "soc_name, channels, depth_m, solvers",
+        [
+            # The exhaustive solver handles at most 8 modules; d695 has 10.
+            ("d695", 256, 0.25, ("goel05", "restart", "simulated_annealing")),
+            (
+                "synthetic:11:5",
+                128,
+                2.0,
+                ("goel05", "restart", "simulated_annealing", "exhaustive"),
+            ),
+        ],
+    )
+    def test_decoded_results_equal_computed(self, soc_name, channels, depth_m, solvers):
+        from repro.api.engine import Engine, ScenarioResult, sweep_digest
+        from repro.objectives.registry import objective_names
+        from repro.store.result_store import decode_record, make_record
+
+        cell = reference_test_cell(channels=channels, depth_m=depth_m)
+        grid = [
+            Scenario(soc=soc_name, test_cell=cell, config=config, solver=solver,
+                     objective=objective)
+            for solver in solvers
+            for objective in objective_names()
+            for config in ORACLE_CONFIGS
+        ]
+        computed = Engine().run_batch(grid)
+        decoded = []
+        for outcome in computed:
+            record = json.loads(json.dumps(make_record(outcome.scenario, outcome.result)))
+            assert TWO_STEP in record["result"]
+            result = decode_record(record, expected_key=outcome.scenario.digest)
+            assert result == outcome.result
+            assert [point.test_time_cycles for point in result.points] == [
+                point.test_time_cycles for point in outcome.result.points
+            ]
+            assert result.best is result.points[outcome.result.points.index(outcome.result.best)]
+            decoded.append(ScenarioResult(outcome.scenario, result))
+        assert sweep_digest(decoded) == sweep_digest(computed)
+
+    def test_widened_architectures_are_shared(self, tiny_result):
+        rebuilt = decode_result(json.loads(json.dumps(encode_result(tiny_result))))
+        distinct = {id(point.architecture) for point in rebuilt.points}
+        widths = {
+            tuple(group.width for group in point.architecture.groups)
+            for point in tiny_result.points
+        }
+        assert len(distinct) == len(widths)
+
+    @pytest.mark.parametrize(
+        "breaks", ["site-gap", "ascending-sites", "best-not-a-point", "timing-differs"]
+    )
+    def test_non_conforming_result_round_trips_as_graph(self, tiny_result, breaks):
+        points = tiny_result.points
+        assert len(points) >= 3
+        best = tiny_result.best
+        if breaks == "site-gap":
+            points = (points[0],) + points[2:]
+            best = max(points, key=lambda point: point.throughput)
+        elif breaks == "ascending-sites":
+            points = points[::-1]
+        elif breaks == "best-not-a-point":
+            best = dataclasses.replace(best, throughput=best.throughput + 1.0)
+        else:
+            last = points[-1]
+            timing = dataclasses.replace(last.scenario.timing, index_time_s=9.0)
+            scenario = dataclasses.replace(last.scenario, timing=timing)
+            points = points[:-1] + (dataclasses.replace(last, scenario=scenario),)
+        result = TwoStepResult(step1=tiny_result.step1, points=points, best=best)
+        encoded = json.loads(json.dumps(encode_result(result)))
+        assert TWO_STEP not in encoded
+        assert encoded["__dataclass__"] == "TwoStepResult"
+        assert decode_result(encoded) == result
+
+    def test_d695_record_is_a_fifth_of_the_graph(self):
+        """A d695 record with a long Step-2 search: columns vs whole graph.
+
+        Deterministic: 255 site counts (broadcast, 256 channels, 1 M
+        vectors) but only a few dozen distinct widened architectures.  A
+        short search shrinks less, because the SOC in the Step-1 graph
+        then dominates both encodings.
+        """
+        from repro.store.result_store import make_record
+
+        scenario = Scenario(
+            soc="d695",
+            test_cell=reference_test_cell(channels=256, depth_m=1.0),
+            config=OptimizationConfig(broadcast=True),
+        )
+        result = optimize_multisite(
+            scenario.resolve(), scenario.test_cell.ate, scenario.test_cell.probe_station,
+            scenario.config,
+        )
+        record = make_record(scenario, result)
+        graph_record = dict(record, format=1, result=encode_graph(result))
+        assert TWO_STEP in record["result"]
+        assert 5 * len(_wire(record)) <= len(_wire(graph_record))
